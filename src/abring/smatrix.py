@@ -18,6 +18,13 @@ reciprocal family does not.
 Generic families are produced as ``S(phi) = U(phi) U(-phi)^T`` from a
 seeded unitary generator family, which enforces both constraints by
 construction while leaving rigidity free to break.
+
+Family callables are evaluated over a whole phase grid at once: a family
+takes a float array of phases of any shape ``(...)`` (a 0-d array for a
+single phase) and returns a ``(..., d, d)`` stack of matrices, or an array
+that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
+Unitarity is checked once per stack, and a failure names the phase of the
+worst defect.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidityError
 
@@ -46,14 +53,55 @@ __all__ = [
 
 UNITARITY_TOL = 1e-12
 
+# A family maps a phase array of shape (...) to a (..., d, d) matrix stack.
+Family = Callable[[NDArray[np.float64]], NDArray[np.complex128]]
 
-def _require_unitary(m: NDArray[np.complex128], what: str) -> None:
-    dim = m.shape[0]
-    if m.shape != (dim, dim) or m.ndim != 2:
+
+def _transpose(m: NDArray) -> NDArray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Largest entry of |M^dagger M - 1| for each matrix of a stack."""
+    eye = np.eye(m.shape[-1])
+    return np.max(np.abs(_transpose(m.conj()) @ m - eye), axis=(-2, -1))
+
+
+def _check_defect(
+    defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float, error: type[Exception]
+) -> None:
+    """Raise ``error`` naming the worst defect, and its phase, if any exceeds tol."""
+    if phi is not None:
+        phi, defect = np.broadcast_arrays(phi, defect)
+    if np.any(defect > tol):
+        k = np.argmax(defect)
+        at = "" if phi is None else f" at phi={float(phi.flat[k])!r}"
+        raise error(f"{what}{at} (defect {defect.flat[k]:.3e})")
+
+
+def _require_unitary(m: NDArray[np.complex128], what: str, phi: ArrayLike | None = None) -> None:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
+    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary", UNITARITY_TOL, ValueError)
+
+
+# Bit-for-bit agreement with per-phase evaluation rests on three choices.
+# For |z|^2, np.abs on arrays takes a SIMD path whose last bit differs from
+# the scalar abs(z), and x*x differs from the scalar x**2, which calls libm
+# pow; np.hypot and np.float_power(., 2.0) reproduce the scalar results.
+def _abs2(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _kron(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Kronecker product of a (..., m, n) stack with one (p, q) matrix.
+
+    The third choice: this broadcast product reproduces np.kron exactly,
+    where np.einsum rounds some entries differently.
+    """
+    m, n = a.shape[-2:]
+    p, q = b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(a.shape[:-2] + (m * p, n * q))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> NDArray[np.complex128]:
@@ -64,7 +112,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> NDArray[np.complex128]
     return q * (d / np.abs(d)).conj()
 
 
-def seeded_generator(seed: int, dim: int = 4, max_winding: int = 2) -> Callable[[float], NDArray[np.complex128]]:
+def seeded_generator(seed: int, dim: int = 4, max_winding: int = 2) -> Family:
     """Deterministic 2 pi periodic unitary family U(phi).
 
     Built as Q0 diag(exp(i n_k phi)) Q1 with seeded unitaries and integer
@@ -75,8 +123,9 @@ def seeded_generator(seed: int, dim: int = 4, max_winding: int = 2) -> Callable[
     q1 = random_unitary(rng, dim)
     windings = rng.integers(-max_winding, max_winding + 1, size=dim)
 
-    def u_of_phi(phi: float) -> NDArray[np.complex128]:
-        return (q0 * np.exp(1j * windings * phi)) @ q1
+    def u_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
+        phase = np.exp(1j * windings * np.asarray(phi, dtype=float)[..., None])
+        return (q0 * phase[..., None, :]) @ q1
 
     return u_of_phi
 
@@ -85,51 +134,50 @@ def seeded_generator(seed: int, dim: int = 4, max_winding: int = 2) -> Callable[
 class TwoParticleSMatrix:
     """phi-parametrized 4x4 scattering matrix of conductor plus detector."""
 
-    s_of_phi: Callable[[float], NDArray[np.complex128]]
+    s_of_phi: Family
 
-    def at(self, phi: float) -> NDArray[np.complex128]:
+    def at(self, phi: ArrayLike) -> NDArray[np.complex128]:
+        """S at a phase or a phase array: shape ``np.shape(phi) + (4, 4)``."""
+        phi = np.asarray(phi, dtype=float)
         m = np.asarray(self.s_of_phi(phi), dtype=complex)
-        if m.shape != (4, 4):
+        shape = phi.shape + (4, 4)
+        if m.shape == shape:
+            return m
+        if m.shape[-2:] != (4, 4):
             raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")
-        return m
+        return np.broadcast_to(m, shape).copy()
 
-    def validate(self, phis, atol: float = UNITARITY_TOL) -> None:
+    def validate(self, phis: ArrayLike, atol: float = UNITARITY_TOL) -> None:
         """Check unitarity and reciprocity on a sample of phases."""
-        eye = np.eye(4)
-        for phi in np.asarray(phis, dtype=float):
-            m = self.at(phi)
-            defect = np.max(np.abs(m.conj().T @ m - eye))
-            if defect > atol:
-                raise ValidityError(f"unitarity broken at phi={phi!r} (defect {defect:.3e})")
-            recip = np.max(np.abs(m - self.at(-phi).T))
-            if recip > atol:
-                raise ValidityError(f"reciprocity broken at phi={phi!r} (defect {recip:.3e})")
+        phis = np.asarray(phis, dtype=float)
+        m = self.at(phis)
+        _check_defect(_unitarity_defect(m), phis, "unitarity broken", atol, ValidityError)
+        recip = np.max(np.abs(m - _transpose(self.at(-phis))), axis=(-2, -1))
+        _check_defect(recip, phis, "reciprocity broken", atol, ValidityError)
 
 
-def reciprocal_from_generator(
-    u_of_phi: Callable[[float], NDArray[np.complex128]],
-) -> TwoParticleSMatrix:
+def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
     """Reciprocal unitary family ``S(phi) = U(phi) U(-phi)^T``.
 
     Rejects generators that are not unitary at an evaluated phase.
     """
 
-    def s_of_phi(phi: float) -> NDArray[np.complex128]:
+    def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         u_pos = np.asarray(u_of_phi(phi), dtype=complex)
         u_neg = np.asarray(u_of_phi(-phi), dtype=complex)
-        _require_unitary(u_pos, "generator U(phi)")
-        _require_unitary(u_neg, "generator U(-phi)")
-        return u_pos @ u_neg.T
+        _require_unitary(u_pos, "generator U(phi)", phi)
+        _require_unitary(u_neg, "generator U(-phi)", -phi)
+        return u_pos @ _transpose(u_neg)
 
     return TwoParticleSMatrix(s_of_phi)
 
 
-def reciprocal_ring_family(seed: int) -> Callable[[float], NDArray[np.complex128]]:
+def reciprocal_ring_family(seed: int) -> Family:
     """Seeded 2x2 unitary ring family with ``S_ij(phi) = S_ji(-phi)``."""
     v_of_phi = seeded_generator(seed, dim=2)
 
-    def ring_s(phi: float) -> NDArray[np.complex128]:
-        return v_of_phi(phi) @ v_of_phi(-phi).T
+    def ring_s(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
+        return v_of_phi(phi) @ _transpose(v_of_phi(-phi))
 
     return ring_s
 
@@ -140,10 +188,7 @@ def random_symmetric_unitary(seed: int, dim: int = 2) -> NDArray[np.complex128]:
     return q.T @ q
 
 
-def factorized_s(
-    ring_s: Callable[[float], NDArray[np.complex128]],
-    det_s: NDArray[np.complex128],
-) -> TwoParticleSMatrix:
+def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSMatrix:
     """Tensor product of independent ring and detector scatterers.
 
     The detector matrix is phase independent, so its own reciprocity
@@ -155,18 +200,25 @@ def factorized_s(
     if np.max(np.abs(det - det.T)) > UNITARITY_TOL:
         raise ValueError("phase-independent detector matrix must be symmetric")
 
-    def s_of_phi(phi: float) -> NDArray[np.complex128]:
+    def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         r = np.asarray(ring_s(phi), dtype=complex)
-        _require_unitary(r, "ring scattering matrix")
-        return np.kron(r, det)
+        _require_unitary(r, "ring scattering matrix", phi)
+        return _kron(r, det)
 
     return TwoParticleSMatrix(s_of_phi)
 
 
-def transmission_from_s(s: TwoParticleSMatrix, phi: float) -> float:
-    """Probability of ending in the right lead, |S_31|^2 + |S_41|^2."""
-    m = s.at(phi)
-    return float(abs(m[2, 0]) ** 2 + abs(m[3, 0]) ** 2)
+def _transmission(m: NDArray[np.complex128]) -> NDArray[np.float64]:
+    return _abs2(m[..., 2, 0]) + _abs2(m[..., 3, 0])
+
+
+def transmission_from_s(s: TwoParticleSMatrix, phi: ArrayLike) -> float | NDArray[np.float64]:
+    """Probability of ending in the right lead, |S_31|^2 + |S_41|^2.
+
+    A float for a scalar phase, an array of the phases' shape otherwise.
+    """
+    t = _transmission(s.at(phi))
+    return float(t) if t.ndim == 0 else t
 
 
 def symmetric_phi_grid(n_points: int) -> NDArray[np.float64]:
@@ -196,24 +248,24 @@ class RigidityReport:
         return float(np.max(np.abs(self.identity_residual)))
 
 
-def rigidity_report(s: TwoParticleSMatrix, phi_grid) -> RigidityReport:
+def rigidity_report(s: TwoParticleSMatrix, phi_grid: ArrayLike) -> RigidityReport:
     """Tabulate T(phi) - T(-phi) against |S_12|^2 - |S_21|^2 on a grid.
 
     The grid must be symmetric about 0 so each phase has its exact mirror.
     """
     phis = np.asarray(phi_grid, dtype=float)
-    mats = [s.at(p) for p in phis]
-    index: dict[float, int] = {}
-    for i, p in enumerate(phis):
-        index.setdefault(float(p), i)
-    t_all = np.array([abs(m[2, 0]) ** 2 + abs(m[3, 0]) ** 2 for m in mats])
-    t_neg = np.empty_like(t_all)
-    for i, p in enumerate(phis):
-        j = index.get(float(-p))
-        if j is None:
-            raise ValidityError(f"phase grid is not symmetric about 0: no mirror for {p!r}")
-        t_neg[i] = t_all[j]
-    s12_minus_s21 = np.array([abs(m[0, 1]) ** 2 - abs(m[1, 0]) ** 2 for m in mats])
+    mats = s.at(phis)
+    # Mirror of each phase: its first occurrence in a stable sort.
+    order = np.argsort(phis, kind="stable")
+    ranked = phis[order]
+    pos = np.minimum(np.searchsorted(ranked, -phis), phis.size - 1)
+    missing = ranked[pos] != -phis
+    if np.any(missing):
+        p = phis[np.argmax(missing)]
+        raise ValidityError(f"phase grid is not symmetric about 0: no mirror for {p!r}")
+    t_all = _transmission(mats)
+    t_neg = t_all[order[pos]]
+    s12_minus_s21 = _abs2(mats[..., 0, 1]) - _abs2(mats[..., 1, 0])
     return RigidityReport(
         phis=phis,
         t_pos=t_all,

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from abring import (
+    TwoParticleSMatrix,
     ValidityError,
     factorized_s,
     random_symmetric_unitary,
@@ -122,8 +123,6 @@ class TestTransmission:
     def test_full_swap(self):
         swap = np.zeros((4, 4), dtype=complex)
         swap[2, 0] = swap[3, 1] = swap[0, 2] = swap[1, 3] = 1.0
-        from abring import TwoParticleSMatrix
-
         s = TwoParticleSMatrix(lambda phi: swap)
         assert transmission_from_s(s, 0.0) == 1.0
 
@@ -181,3 +180,93 @@ class TestRigidityReport:
         b = rigidity_report(reciprocal_from_generator(seeded_generator(77)), GRID)
         assert np.array_equal(a.t_pos, b.t_pos)
         assert np.array_equal(a.identity_residual, b.identity_residual)
+
+
+def _generic(seed):
+    return reciprocal_from_generator(seeded_generator(seed))
+
+
+def _factorized(seed):
+    return factorized_s(
+        reciprocal_ring_family(10_000 + seed), random_symmetric_unitary(20_000 + seed)
+    )
+
+
+class TestBatchedParity:
+    """Whole-grid evaluation reproduces per-phase evaluation bit for bit."""
+
+    @pytest.mark.parametrize("family", [_generic, _factorized])
+    def test_stack_equals_per_phase_matrices(self, family):
+        for seed in range(20):
+            s = family(seed)
+            assert np.array_equal(s.at(GRID), np.array([s.at(p) for p in GRID]))
+
+    def test_factorized_stack_equals_np_kron(self):
+        for seed in range(20):
+            ring = reciprocal_ring_family(10_000 + seed)
+            det = random_symmetric_unitary(20_000 + seed)
+            expected = np.array([np.kron(ring(p), det) for p in GRID])
+            assert np.array_equal(factorized_s(ring, det).at(GRID), expected)
+
+    @pytest.mark.parametrize("family", [_generic, _factorized])
+    def test_report_equals_scalar_formulas(self, family):
+        for seed in range(20):
+            s = family(seed)
+            mats = [s.at(p) for p in GRID]
+            t = np.array([abs(m[2, 0]) ** 2 + abs(m[3, 0]) ** 2 for m in mats])
+            d = np.array([abs(m[0, 1]) ** 2 - abs(m[1, 0]) ** 2 for m in mats])
+            report = rigidity_report(s, GRID)
+            # The grid is symmetric, so the mirror of index i is n - 1 - i.
+            assert np.array_equal(report.t_pos, t)
+            assert np.array_equal(report.t_neg, t[::-1])
+            assert np.array_equal(report.s12sq_minus_s21sq, d)
+            assert np.array_equal(report.identity_residual, (t - t[::-1]) - d)
+
+    def test_transmission_over_a_phase_array(self):
+        s = _generic(3)
+        t = transmission_from_s(s, GRID)
+        assert t.shape == GRID.shape
+        assert np.array_equal(t, [transmission_from_s(s, p) for p in GRID])
+        assert type(transmission_from_s(s, GRID[0])) is float
+
+    def test_phase_independent_family_broadcasts(self):
+        swap = np.eye(4)[[2, 3, 0, 1]]
+        s = TwoParticleSMatrix(lambda phi: swap)
+        assert s.at(GRID).shape == (GRID.size, 4, 4)
+        assert s.at(0.3).shape == (4, 4)
+        assert np.all(transmission_from_s(s, GRID) == 1.0)
+
+    def test_rejects_stack_that_does_not_fit_phases(self):
+        s = TwoParticleSMatrix(lambda phi: np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError):
+            s.at(GRID)
+
+
+def _bump(phi):
+    """Factor 1 + 0.01 cos(phi): the unitarity defect is worst nearest phi = 0."""
+    return 1.0 + 0.01 * np.cos(phi)[..., None, None]
+
+
+class TestFailureNamesWorstPhase:
+    PHIS = np.array([-2.0, 0.5, 2.5, -1.0])
+
+    def test_generator(self):
+        s = reciprocal_from_generator(lambda phi: np.eye(4) * _bump(phi))
+        with pytest.raises(ValueError, match=r"U\(phi\) is not unitary at phi=0\.5 "):
+            s.at(self.PHIS)
+
+    def test_ring(self):
+        s = factorized_s(lambda phi: np.eye(2) * _bump(phi), random_symmetric_unitary(8))
+        with pytest.raises(ValueError, match=r"ring scattering matrix is not unitary at phi=0\.5 "):
+            s.at(self.PHIS)
+
+    def test_validate_unitarity(self):
+        s = TwoParticleSMatrix(lambda phi: np.eye(4) * _bump(phi))
+        with pytest.raises(ValidityError, match=r"unitarity broken at phi=0\.5 "):
+            s.validate(self.PHIS)
+
+    def test_validate_reciprocity(self):
+        # diag(e^{i phi}) is unitary; its reciprocity defect 2|sin phi| peaks at -2.0.
+        s = TwoParticleSMatrix(lambda phi: np.eye(4) * np.exp(1j * phi)[..., None, None])
+        with pytest.raises(ValidityError, match=r"reciprocity broken at phi=-2\.0 "):
+            s.validate(self.PHIS)
