@@ -15,15 +15,11 @@ from .oracle import (
     truncation_residual,
 )
 from .ring import (
-    AmplitudePair,
     DiagramComponents,
     RingParams,
     amplitude_t0,
     amplitude_t1,
-    amplitudes,
-    coupling_x,
     diagram_components,
-    effective_width,
 )
 from .smatrix import (
     RigidityReport,
@@ -56,7 +52,6 @@ from .verify import SuiteResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudePair",
     "ConfigError",
     "DetectorParams",
     "DiagramComponents",
@@ -71,14 +66,11 @@ __all__ = [
     "ValidityError",
     "amplitude_t0",
     "amplitude_t1",
-    "amplitudes",
-    "coupling_x",
     "detector_from_angle",
     "detector_from_overlap",
     "diagram_components",
     "dot_arm_rms",
     "double_slit_visibility",
-    "effective_width",
     "energy_resolved_transmission",
     "exact_amplitude",
     "factorized_s",

@@ -2,8 +2,9 @@
 
 Outputs are deterministic for a fixed config and seed: CSV files carry 17
 significant digits with LF line endings, and the SVG plots are rendered
-by the in-package writer.  Exit codes: 0 success, 2 config error,
-3 validity violation, 4 verification failure.
+by the in-package writer.  Exit codes: 0 success, 2 config error (an
+unreadable or malformed config file, or an output directory that cannot
+be written), 3 validity violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidityError as exc:
         print(f"validity error: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
+    except OSError as exc:  # load_config reports an unreadable config as ConfigError
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

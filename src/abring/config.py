@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .detector import DetectorParams, detector_from_angle, detector_from_overlap, overlap_lambda
 from .errors import ConfigError, ValidityError
 from .ring import RingParams
-from .transport import ThermalConfig
 
 __all__ = ["RunConfig", "parse_config", "load_config", "DEFAULTS"]
 
@@ -22,32 +20,37 @@ DEFAULTS: dict[str, str] = {
     "ring.v_mag": "0.75",
     "ring.eps_d": "1.25",
     "ring.x": "0.4",
-    "detector.lambda": "0.0",
     "sweep.n_phi": "720",
     "sweep.lambda_list": "0, 0.25, 0.5, 0.75, 1",
-    "thermal.temperature": "0.0",
-    "thermal.quadrature_points": "128",
-    "thermal.energy_window": "16",
     "output.dir": "out",
     "seed": "12345",
 }
 
-KNOWN_KEYS = frozenset(DEFAULTS) | {"ring.rho", "detector.theta0", "detector.theta1"}
+KNOWN_KEYS = frozenset(DEFAULTS) | {"ring.rho"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Validated run parameters.
+
+    The ring checks itself when it is built; the other fields are checked
+    here, so ``dataclasses.replace`` re-checks every override.
+    """
+
     ring: RingParams
-    detector: DetectorParams
     n_phi: int
     lambda_list: tuple[float, ...]
-    thermal: ThermalConfig
     out_dir: str
     seed: int
 
-    @property
-    def overlap(self) -> complex:
-        return overlap_lambda(self.detector)
+    def __post_init__(self) -> None:
+        if self.n_phi < 4:
+            raise ValidityError(f"sweep.n_phi must be at least 4, got {self.n_phi}")
+        for lam in self.lambda_list:
+            if not 0.0 <= lam <= 1.0:
+                raise ValidityError(f"sweep.lambda_list entries must lie in [0, 1], got {lam}")
+        if self.seed < 0:
+            raise ValidityError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -94,17 +97,10 @@ def parse_config(text: str) -> RunConfig:
     user = _parse_pairs(text)
     if "ring.rho" in user and "ring.x" in user:
         raise ConfigError("set either ring.rho or ring.x, not both")
-    thetas = [k for k in ("detector.theta0", "detector.theta1") if k in user]
-    if thetas and "detector.lambda" in user:
-        raise ConfigError("set either detector.lambda or the theta pair, not both")
-    if len(thetas) == 1:
-        raise ConfigError("detector.theta0 and detector.theta1 must be set together")
 
     pairs = dict(DEFAULTS)
     if "ring.rho" in user:
         del pairs["ring.x"]
-    if thetas:
-        del pairs["detector.lambda"]
     pairs.update(user)
 
     w_mag = _get_float(pairs, "ring.w_mag")
@@ -115,44 +111,19 @@ def parse_config(text: str) -> RunConfig:
     else:
         ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d, w_mag=w_mag)
 
-    if "detector.lambda" in pairs:
-        det = detector_from_overlap(_get_float(pairs, "detector.lambda"))
-    else:
-        det = detector_from_angle(
-            _get_float(pairs, "detector.theta0"), _get_float(pairs, "detector.theta1")
-        )
-
-    n_phi = _get_int(pairs, "sweep.n_phi")
-    if n_phi < 4:
-        raise ValidityError(f"sweep.n_phi must be at least 4, got {n_phi}")
     try:
         lambda_list = tuple(float(s) for s in pairs["sweep.lambda_list"].split(","))
     except ValueError as exc:
         raise ConfigError(
             f"sweep.lambda_list: not a comma-separated number list: {pairs['sweep.lambda_list']!r}"
         ) from exc
-    for lam in lambda_list:
-        if not 0.0 <= lam <= 1.0:
-            raise ValidityError(f"sweep.lambda_list entries must lie in [0, 1], got {lam}")
-
-    thermal = ThermalConfig(
-        temperature=_get_float(pairs, "thermal.temperature"),
-        quadrature_points=_get_int(pairs, "thermal.quadrature_points"),
-        energy_window=_get_float(pairs, "thermal.energy_window"),
-    )
-
-    seed = _get_int(pairs, "seed")
-    if seed < 0:
-        raise ValidityError(f"seed must be nonnegative, got {seed}")
 
     return RunConfig(
         ring=ring,
-        detector=det,
-        n_phi=n_phi,
+        n_phi=_get_int(pairs, "sweep.n_phi"),
         lambda_list=lambda_list,
-        thermal=thermal,
         out_dir=pairs["output.dir"],
-        seed=seed,
+        seed=_get_int(pairs, "seed"),
     )
 
 
@@ -168,13 +139,11 @@ def load_config(
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         cfg = parse_config(text)
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)
     if seed is not None:
-        if seed < 0:
-            raise ValidityError(f"seed must be nonnegative, got {seed}")
         cfg = replace(cfg, seed=seed)
     return cfg

@@ -18,8 +18,7 @@ on its own, and the leftover quantifies the truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,14 +60,12 @@ class ResolventModel:
     eps_d: float
     hop_matrix: NDArray[np.complex128]
     norm_const: complex
-    g_dot: Callable[[float], complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         hop = np.asarray(self.hop_matrix, dtype=complex)
         if hop.shape != (3, 3) or not np.allclose(hop, hop.conj().T, rtol=0, atol=1e-13):
             raise ValueError("hop matrix must be 3x3 Hermitian")
         object.__setattr__(self, "hop_matrix", hop)
-        object.__setattr__(self, "g_dot", lambda e: 1.0 / (e - self.eps_d))
 
     @classmethod
     def from_ring(cls, params: RingParams, phi: float) -> "ResolventModel":

@@ -21,6 +21,7 @@ The amplitude functions accept a scalar phase or an array of phases.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,13 +31,9 @@ from .errors import OffResonanceWarning, ValidityError
 
 __all__ = [
     "RingParams",
-    "AmplitudePair",
     "DiagramComponents",
-    "coupling_x",
-    "effective_width",
     "amplitude_t0",
     "amplitude_t1",
-    "amplitudes",
     "diagram_components",
 ]
 
@@ -73,16 +70,24 @@ class RingParams:
     validate_off_resonance: bool = True
 
     def __post_init__(self) -> None:
-        if not self.w_mag > 0:
-            raise ValidityError(f"w_mag must be positive, got {self.w_mag}")
-        if self.v_mag < 0:
-            raise ValidityError(f"v_mag must be nonnegative, got {self.v_mag}")
-        if not self.rho > 0:
-            raise ValidityError(f"rho must be positive, got {self.rho}")
-        if self.eps_d == 0:
-            raise ValidityError("eps_d must be nonzero (dot off resonance)")
-        if self.validate_off_resonance:
+        for name, value, in_range, requirement in (
+            ("w_mag", self.w_mag, self.w_mag > 0, "positive"),
+            ("v_mag", self.v_mag, self.v_mag >= 0, "nonnegative"),
+            ("rho", self.rho, self.rho > 0, "positive"),
+            ("eps_d", self.eps_d, self.eps_d != 0, "nonzero (dot off resonance)"),
+        ):
+            if not (math.isfinite(value) and in_range):
+                raise ValidityError(f"{name} must be finite and {requirement}, got {value}")
+        x = self.x
+        try:
             ratio = self.gamma / abs(self.eps_d)
+        except OverflowError:  # float ** 2 raises where float * float gives inf
+            ratio = math.inf
+        if not (x > 0 and math.isfinite(x) and math.isfinite(1.0 / x) and math.isfinite(ratio)):
+            raise ValidityError(
+                f"parameters leave the float range: x = pi rho |W| = {x}, Gamma/|eps_d| = {ratio}"
+            )
+        if self.validate_off_resonance:
             if ratio >= GUARD_ERROR:
                 raise ValidityError(
                     f"Gamma/|eps_d| = {ratio:.4g} >= {GUARD_ERROR}: dot level too "
@@ -106,13 +111,13 @@ class RingParams:
         validate_off_resonance: bool = True,
     ) -> "RingParams":
         """Build parameters from the dimensionless lead coupling ``x = pi rho |W|``."""
-        if not x > 0:
-            raise ValidityError(f"x must be positive, got {x}")
+        if not (math.isfinite(x) and x > 0):
+            raise ValidityError(f"x must be finite and positive, got {x}")
         return cls(
             w_mag=w_mag,
             v_mag=v_mag,
             eps_d=eps_d,
-            rho=x / (np.pi * w_mag),
+            rho=x / (np.pi * w_mag) if w_mag else math.nan,  # the constructor rejects w_mag = 0
             validate_off_resonance=validate_off_resonance,
         )
 
@@ -125,16 +130,6 @@ class RingParams:
     def gamma(self) -> float:
         """Effective dot level width ``pi rho |V|^2 / (1 + x^2)``."""
         return np.pi * self.rho * self.v_mag**2 / (1.0 + self.x**2)
-
-
-def coupling_x(params: RingParams) -> float:
-    """Dimensionless junction coupling ``x = pi rho |W|``."""
-    return params.x
-
-
-def effective_width(params: RingParams) -> float:
-    """Effective dot level width Gamma in energy units."""
-    return params.gamma
 
 
 def amplitude_t0(params: RingParams, phi):
@@ -156,28 +151,6 @@ def amplitude_t1(params: RingParams, phi):
     x = params.x
     bracket = 2j - np.exp(1j * phi) / x + x * np.exp(-1j * phi)
     return (params.gamma / params.eps_d) * amplitude_t0(params, phi) * bracket
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    """The two interfering amplitudes at a fixed flux phase."""
-
-    t0: complex
-    t1: complex
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not np.all(np.abs(self.t0) <= 1.0 + 1e-12):
-            raise ValidityError(f"|t0| = {np.abs(self.t0)} exceeds 1")
-
-
-def amplitudes(params: RingParams, phi: float) -> AmplitudePair:
-    """Evaluate both amplitudes at one flux phase."""
-    return AmplitudePair(
-        t0=complex(amplitude_t0(params, phi)),
-        t1=complex(amplitude_t1(params, phi)),
-        phi=float(phi),
-    )
 
 
 @dataclass(frozen=True)

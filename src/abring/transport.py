@@ -17,6 +17,7 @@ negative derivative of the Fermi function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,8 +51,8 @@ def transmission(params: RingParams, lam, phi):
     Accepts a scalar phase or an array of phases. ``lam`` may be complex;
     its magnitude must not exceed 1 (beyond a small tolerance).
     """
-    if abs(lam) > 1.0 + OVERLAP_TOL:
-        raise ValidityError(f"detector overlap magnitude {abs(lam)!r} exceeds 1")
+    if not abs(lam) <= 1.0 + OVERLAP_TOL:
+        raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
     t0 = amplitude_t0(params, phi)
     t1 = amplitude_t1(params, phi)
     return np.abs(t0) ** 2 + np.abs(t1) ** 2 + 2.0 * np.real(lam * np.conj(t0) * t1)
@@ -180,15 +181,17 @@ class ThermalConfig:
     energy_window: float = 16.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValidityError(f"temperature must be nonnegative, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValidityError(
+                f"temperature must be finite and nonnegative, got {self.temperature}"
+            )
         if self.temperature > 0 and self.quadrature_points < 16:
             raise ValidityError(
                 f"need at least 16 quadrature points, got {self.quadrature_points}"
             )
-        if self.energy_window < 8.0:
+        if not (math.isfinite(self.energy_window) and self.energy_window >= 8.0):
             raise ValidityError(
-                f"energy window must span at least 8 k_B T, got {self.energy_window}"
+                f"energy window must be finite and span at least 8 k_B T, got {self.energy_window}"
             )
 
 
@@ -215,7 +218,7 @@ def thermal_transmission(tfun: Callable[[NDArray[np.float64]], object], cfg: The
     arg = np.minimum(np.abs(mids / (2.0 * kt)), 350.0)
     weights = step / (4.0 * kt * np.cosh(arg) ** 2)
     mass = float(np.sum(weights))
-    if abs(mass - 1.0) > WEIGHT_MASS_TOL:
+    if not abs(mass - 1.0) <= WEIGHT_MASS_TOL:
         raise ValidityError(
             f"thermal weight mass {mass!r} deviates from 1 by more than "
             f"{WEIGHT_MASS_TOL}; enlarge energy_window or quadrature_points"

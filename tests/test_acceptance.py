@@ -13,7 +13,6 @@ from abring import (
     RingParams,
     ThermalConfig,
     double_slit_visibility,
-    effective_width,
     energy_resolved_transmission,
     sweep_phase,
     thermal_transmission,
@@ -40,7 +39,7 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_width_ratio(ring):
-    ratio = effective_width(ring) / ring.eps_d
+    ratio = ring.gamma / ring.eps_d
     _report(
         1,
         "effective width ratio",

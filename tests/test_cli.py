@@ -162,3 +162,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "validity error" in err
         assert "resonance" in err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("ring.v_mag = nan", "v_mag"),
+            ("ring.eps_d = inf", "eps_d"),
+            ("ring.eps_d = -inf", "eps_d"),
+            ("ring.x = inf", "x"),
+            ("ring.w_mag = inf", "w_mag"),
+            ("ring.rho = nan", "rho"),
+            ("sweep.lambda_list = 0, nan", "sweep.lambda_list"),
+        ],
+    )
+    def test_non_finite_value_is_validity_error(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep-lambda", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validity error: {field} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        assert main(["sweep-phase", "--out", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -1,11 +1,41 @@
 """Strict flat key-value configuration parsing."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from abring import ConfigError, ValidityError
+from abring import ConfigError, OffResonanceWarning, ValidityError, phase_grid, transmission
 from abring.config import load_config, parse_config
+
+PLAIN_NUMBER_TEXT = st.floats(0.0, 1.0).map(repr) | st.integers(4, 2000).map(str)
+WILD_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),  # includes nan, +-inf, subnormals and huge values
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-320"]),
+)
+# One value in three is wild, so that accepted configs stay common.
+NUMBER_TEXT = st.sampled_from([PLAIN_NUMBER_TEXT, PLAIN_NUMBER_TEXT, WILD_NUMBER_TEXT]).flatmap(
+    lambda strategy: strategy
+)
+
+
+@st.composite
+def config_texts(draw):
+    coupling = draw(st.sampled_from(["ring.x", "ring.rho"]))
+    lines = []
+    for key in ("ring.w_mag", "ring.v_mag", "ring.eps_d", coupling, "sweep.n_phi", "seed"):
+        value = draw(st.none() | NUMBER_TEXT)
+        if value is not None:
+            lines.append(f"{key} = {value}\n")
+    lambdas = draw(st.none() | st.lists(NUMBER_TEXT, min_size=1, max_size=4))
+    if lambdas is not None:
+        lines.append(f"sweep.lambda_list = {', '.join(lambdas)}\n")
+    return "".join(lines)
 
 
 def test_empty_text_gives_reference_defaults():
@@ -15,8 +45,6 @@ def test_empty_text_gives_reference_defaults():
     assert cfg.ring.eps_d == 1.25
     assert cfg.n_phi == 720
     assert cfg.lambda_list == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert cfg.overlap == 0.0
-    assert cfg.thermal.temperature == 0.0
     assert cfg.out_dir == "out"
     assert cfg.seed == 12345
 
@@ -55,13 +83,16 @@ def test_rho_and_x_mutually_exclusive():
     assert_allclose(cfg.ring.x, 0.4, rtol=1e-14)
 
 
-def test_detector_parametrizations_mutually_exclusive():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config("detector.lambda = 0.5\ndetector.theta0 = 0\ndetector.theta1 = 1\n")
-    with pytest.raises(ConfigError, match="together"):
-        parse_config("detector.theta0 = 0.5\n")
-    cfg = parse_config("detector.theta0 = 0\ndetector.theta1 = 1.0471975511965976\n")
-    assert_allclose(cfg.overlap, 0.5, atol=1e-12)
+def test_detector_and_thermal_keys_are_unknown():
+    # No subcommand read them; the overlaps come from sweep.lambda_list.
+    removed = {
+        "detector": ("lambda", "theta0", "theta1"),
+        "thermal": ("temperature", "quadrature_points", "energy_window"),
+    }
+    for section, names in removed.items():
+        for name in names:
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f"{section}.{name} = 0.5\n")
 
 
 def test_lambda_list_parsing_and_range():
@@ -71,11 +102,6 @@ def test_lambda_list_parsing_and_range():
         parse_config("sweep.lambda_list = 0;1\n")
     with pytest.raises(ValidityError):
         parse_config("sweep.lambda_list = 0, 1.5\n")
-
-
-def test_overlap_out_of_range_is_validity_error():
-    with pytest.raises(ValidityError):
-        parse_config("detector.lambda = 1.2\n")
 
 
 def test_guard_violation_is_validity_error():
@@ -96,16 +122,11 @@ def test_n_phi_floor():
         parse_config("sweep.n_phi = 3\n")
 
 
-def test_thermal_validation_applies():
-    with pytest.raises(ValidityError):
-        parse_config("thermal.temperature = -0.1\n")
-    with pytest.raises(ValidityError):
-        parse_config("thermal.temperature = 0.1\nthermal.quadrature_points = 4\n")
-
-
 def test_negative_seed_rejected():
     with pytest.raises(ValidityError):
         parse_config("seed = -3\n")
+    with pytest.raises(ValidityError, match="seed"):
+        load_config(None, seed=-3)
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -120,3 +141,27 @@ def test_load_config_with_overrides(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path.cfg")
+
+
+def test_load_config_undecodable_file(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe seed = 1\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(str(path))
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_texts())
+def test_any_config_parses_to_finite_parameters_or_is_rejected(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", OffResonanceWarning)
+        try:
+            cfg = parse_config(text)
+        except (ConfigError, ValidityError):
+            return
+        ring = cfg.ring
+        for value in (ring.w_mag, ring.v_mag, ring.eps_d, ring.rho, ring.x, ring.gamma):
+            assert math.isfinite(value)
+        for lam in cfg.lambda_list:
+            assert np.all(np.isfinite(transmission(ring, lam, phase_grid(8))))

@@ -38,10 +38,6 @@ class TestCalibration:
         model = ResolventModel.from_ring(ref_ring, 1.234)
         assert_allclose(model.hop_matrix, model.hop_matrix.conj().T, atol=1e-15)
 
-    def test_dot_propagator_pole(self, ref_ring):
-        model = ResolventModel.from_ring(ref_ring, 0.0)
-        assert_allclose(model.g_dot(0.0), -1.0 / ref_ring.eps_d, rtol=1e-15)
-
 
 class TestSecondOrder:
     def test_matches_single_visit_amplitude(self, rng):

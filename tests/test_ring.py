@@ -14,10 +14,7 @@ from abring import (
     ValidityError,
     amplitude_t0,
     amplitude_t1,
-    amplitudes,
-    coupling_x,
     diagram_components,
-    effective_width,
 )
 
 
@@ -31,28 +28,28 @@ def random_valid_ring(rng):
 
 class TestRingParams:
     def test_reference_coupling(self, ref_ring):
-        assert_allclose(coupling_x(ref_ring), 0.4, rtol=1e-14)
+        assert_allclose(ref_ring.x, 0.4, rtol=1e-14)
 
     def test_coupling_proportional_to_rho(self):
         p = RingParams(w_mag=1.0, v_mag=0.0, eps_d=1.0, rho=1e-9)
-        assert_allclose(coupling_x(p), np.pi * 1e-9, rtol=1e-15)
+        assert_allclose(p.x, np.pi * 1e-9, rtol=1e-15)
 
     def test_unit_coupling_gives_full_direct_transmission(self):
         p = RingParams(w_mag=1.0, v_mag=0.0, eps_d=1.0, rho=1.0 / np.pi)
-        assert_allclose(coupling_x(p), 1.0, rtol=1e-15)
+        assert_allclose(p.x, 1.0, rtol=1e-15)
         assert_allclose(abs(amplitude_t0(p, 0.0)), 1.0, rtol=1e-15)
 
     def test_reference_width_and_ratio(self, ref_ring):
-        assert_allclose(effective_width(ref_ring), 45.0 / 232.0, rtol=1e-14)
-        assert_allclose(effective_width(ref_ring) / ref_ring.eps_d, 9.0 / 58.0, rtol=1e-14)
+        assert_allclose(ref_ring.gamma, 45.0 / 232.0, rtol=1e-14)
+        assert_allclose(ref_ring.gamma / ref_ring.eps_d, 9.0 / 58.0, rtol=1e-14)
 
     def test_width_vanishes_without_dot_coupling(self):
         p = RingParams(v_mag=0.0, eps_d=1.25)
-        assert effective_width(p) == 0.0
+        assert p.gamma == 0.0
 
     def test_width_quadratic_in_dot_coupling(self, ref_ring):
         doubled = RingParams.from_x(0.4, 0.75 * np.sqrt(2.0), 2.5)
-        assert_allclose(effective_width(doubled), 2.0 * effective_width(ref_ring), rtol=1e-14)
+        assert_allclose(doubled.gamma, 2.0 * ref_ring.gamma, rtol=1e-14)
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidityError):
@@ -154,14 +151,6 @@ class TestAmplitudeT1:
             rtol=0,
             atol=1e-14,
         )
-
-
-class TestAmplitudePair:
-    def test_carries_both_amplitudes(self, ref_ring):
-        pair = amplitudes(ref_ring, 0.7)
-        assert_allclose(pair.t0, complex(amplitude_t0(ref_ring, 0.7)), atol=1e-16)
-        assert_allclose(pair.t1, complex(amplitude_t1(ref_ring, 0.7)), atol=1e-16)
-        assert pair.phi == 0.7
 
 
 class TestDiagramComponents:

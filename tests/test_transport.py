@@ -30,6 +30,41 @@ SWEEP_MIN = 342961.0 / 707281.0
 SWEEP_MAX = 530881.0 / 707281.0
 VIS_AT_ZERO = 187920.0 / 873842.0
 ASYMMETRY = 187920.0 / 707281.0
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: RingParams(v_mag=NAN), "v_mag", id="v_mag=nan"),
+        pytest.param(lambda: RingParams(eps_d=INF), "eps_d", id="eps_d=inf"),
+        pytest.param(lambda: RingParams(eps_d=-INF), "eps_d", id="eps_d=-inf"),
+        pytest.param(lambda: RingParams(w_mag=INF), "w_mag", id="w_mag=inf"),
+        pytest.param(lambda: RingParams(rho=NAN), "rho", id="rho=nan"),
+        pytest.param(lambda: RingParams.from_x(INF, 0.75, 1.25), "x", id="from_x-x=inf"),
+        pytest.param(lambda: RingParams.from_x(NAN, 0.75, 1.25), "x", id="from_x-x=nan"),
+        pytest.param(
+            lambda: RingParams.from_x(0.4, 0.75, 1.25, w_mag=INF), "w_mag", id="from_x-w_mag=inf"
+        ),
+        pytest.param(
+            lambda: RingParams.from_x(0.4, 0.75, 1.25, w_mag=0.0), "w_mag", id="from_x-w_mag=0"
+        ),
+        pytest.param(
+            lambda: RingParams(v_mag=1e200), "parameters leave the float range", id="gamma-overflow"
+        ),
+        pytest.param(
+            lambda: RingParams(rho=1e-160, w_mag=1e-160),
+            "parameters leave the float range",
+            id="x-subnormal",
+        ),
+        pytest.param(lambda: ThermalConfig(NAN), "temperature", id="temperature=nan"),
+        pytest.param(lambda: ThermalConfig(INF), "temperature", id="temperature=inf"),
+        pytest.param(lambda: ThermalConfig(0.01, 128, INF), "energy window", id="energy_window=inf"),
+    ],
+)
+def test_non_finite_parameters_rejected(build, field):
+    with pytest.raises(ValidityError, match=f"^{field}"):
+        build()
 
 
 class TestTransmission:
@@ -56,6 +91,8 @@ class TestTransmission:
             transmission(ref_ring, 1.01, 0.0)
         with pytest.raises(ValidityError):
             transmission(ref_ring, 1j * 1.001, 0.0)
+        with pytest.raises(ValidityError):
+            transmission(ref_ring, NAN, 0.0)
         transmission(ref_ring, 1.0 + 5e-11, 0.0)  # inside the tolerance
 
     def test_complex_overlap_supported(self, ref_ring):
@@ -263,6 +300,9 @@ class TestThermal:
         cfg = ThermalConfig(temperature=0.01, energy_window=8.0)
         with pytest.raises(ValidityError):
             thermal_transmission(tfun, cfg)
+        # A finite k_B T whose window overflows gives a NaN mass.
+        with np.errstate(invalid="ignore"), pytest.raises(ValidityError, match="mass"):
+            thermal_transmission(tfun, ThermalConfig(temperature=1e308))
 
     def test_config_invariants(self):
         with pytest.raises(ValidityError):
