@@ -54,28 +54,19 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
 def cmd_sweep_phase(cfg: RunConfig) -> int:
     """Transmission over one flux period, one column per detector overlap."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    sweeps = [sweep_phase(cfg.ring, lam, cfg.n_phi) for lam in cfg.lambda_list]
-    for lam, sweep in zip(cfg.lambda_list, sweeps):
-        bad = sweep.out_of_range()
-        if bad.size:
-            print(
-                f"warning: {bad.size} transmission values outside [0, 1] "
-                f"for lambda={lam:g}",
-                file=sys.stderr,
-            )
+    sweep = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
+    for lam, bad in zip(sweep.lambdas, sweep.out_of_range()):
+        if bad:
+            msg = f"warning: {bad} transmission values outside [0, 1] for lambda={lam:g}"
+            print(msg, file=sys.stderr)
     csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
     header = ["phi"] + [f"T_lambda={_fmt(lam)}" for lam in cfg.lambda_list]
-    phis = sweeps[0].phis
-    _write_csv(
-        csv_path,
-        header,
-        ([phis[i]] + [s.values[i] for s in sweeps] for i in range(len(phis))),
-    )
+    _write_csv(csv_path, header, zip(sweep.phis, *sweep.values))
     svg_path = os.path.join(cfg.out_dir, "phase_sweep.svg")
     write_line_plot(
         svg_path,
-        phis,
-        [s.values for s in sweeps],
+        sweep.phis,
+        sweep.values,
         [f"lambda = {lam:g}" for lam in cfg.lambda_list],
         title="Transmission vs flux phase",
         xlabel="phi (rad)",

@@ -156,12 +156,7 @@ class TwoParticleSMatrix:
         _check_defect(recip, phis, "reciprocity broken", atol, ValidityError)
 
 
-def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
-    """Reciprocal unitary family ``S(phi) = U(phi) U(-phi)^T``.
-
-    Rejects generators that are not unitary at an evaluated phase.
-    """
-
+def _reciprocal(u_of_phi: Family) -> Family:
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         u_pos = np.asarray(u_of_phi(phi), dtype=complex)
         u_neg = np.asarray(u_of_phi(-phi), dtype=complex)
@@ -169,17 +164,20 @@ def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
         _require_unitary(u_neg, "generator U(-phi)", -phi)
         return u_pos @ _transpose(u_neg)
 
-    return TwoParticleSMatrix(s_of_phi)
+    return s_of_phi
+
+
+def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
+    """Reciprocal unitary family ``S(phi) = U(phi) U(-phi)^T``.
+
+    Rejects generators that are not unitary at an evaluated phase.
+    """
+    return TwoParticleSMatrix(_reciprocal(u_of_phi))
 
 
 def reciprocal_ring_family(seed: int) -> Family:
     """Seeded 2x2 unitary ring family with ``S_ij(phi) = S_ji(-phi)``."""
-    v_of_phi = seeded_generator(seed, dim=2)
-
-    def ring_s(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
-        return v_of_phi(phi) @ _transpose(v_of_phi(-phi))
-
-    return ring_s
+    return _reciprocal(seeded_generator(seed, dim=2))
 
 
 def random_symmetric_unitary(seed: int, dim: int = 2) -> NDArray[np.complex128]:

@@ -11,6 +11,9 @@ oscillation stays finite.  A genuine two-path (double-slit) reference with
 fixed arm amplitudes loses all contrast at ``lam = 0``; that reference is
 provided for comparison.
 
+Only the interference term depends on the overlap, so a sweep evaluates
+``t0`` and ``t1`` once on its phase grid and forms one row per overlap.
+
 Thermal smearing integrates an energy-resolved transmission against the
 negative derivative of the Fermi function.
 """
@@ -19,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidityError
 from .ring import RingParams, amplitude_t0, amplitude_t1
@@ -45,70 +48,76 @@ OVERLAP_TOL = 1e-10
 WEIGHT_MASS_TOL = 1e-6
 
 
+def _dephased(params: RingParams, phi, lambdas: Iterable[complex]) -> Iterator:
+    """Yield T(phi) for each overlap in turn, from one evaluation of t0 and t1."""
+    t0 = amplitude_t0(params, phi)
+    t1 = amplitude_t1(params, phi)
+    direct = np.abs(t0) ** 2 + np.abs(t1) ** 2
+    conj_t0 = np.conj(t0)
+    for lam in lambdas:
+        if not abs(lam) <= 1.0 + OVERLAP_TOL:
+            raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
+        yield direct + 2.0 * np.real(lam * conj_t0 * t1)
+
+
 def transmission(params: RingParams, lam, phi):
     """Transmission probability at the Fermi energy for overlap ``lam``.
 
     Accepts a scalar phase or an array of phases. ``lam`` may be complex;
     its magnitude must not exceed 1 (beyond a small tolerance).
     """
-    if not abs(lam) <= 1.0 + OVERLAP_TOL:
-        raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
-    t0 = amplitude_t0(params, phi)
-    t1 = amplitude_t1(params, phi)
-    return np.abs(t0) ** 2 + np.abs(t1) ** 2 + 2.0 * np.real(lam * np.conj(t0) * t1)
+    return next(_dephased(params, phi, [lam]))
 
 
 def phase_grid(n_points: int) -> NDArray[np.float64]:
     """Uniform flux-phase grid over [0, 2 pi), starting at 0."""
     if n_points < 4:
         raise ValidityError(f"phase grid needs at least 4 points, got {n_points}")
-    return np.arange(n_points) * (2.0 * np.pi / n_points)
+    try:
+        return np.arange(n_points) * (2.0 * np.pi / n_points)
+    except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's index range
+        raise ValidityError(f"phase grid of {n_points} points does not fit in memory") from exc
 
 
 @dataclass(frozen=True)
 class PhaseSweep:
-    """Transmission sampled on a uniform phase grid over one flux period."""
+    """Transmission on a ``phase_grid``; ``values[i]`` is T(phis) at ``lambdas[i]``."""
 
     phis: NDArray[np.float64]
+    lambdas: tuple
     values: NDArray[np.float64]
-    lambda_used: complex
 
     def __post_init__(self) -> None:
         phis = np.asarray(self.phis, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "values", values)
-        if phis.ndim != 1 or phis.size == 0 or values.shape != phis.shape:
-            raise ValidityError("sweep needs matching 1-d phase and value arrays")
-        if phis[0] != 0.0:
-            raise ValidityError(f"phase grid must start at 0, got {phis[0]!r}")
-        if phis.size > 1:
-            steps = np.diff(phis)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
-                raise ValidityError("phase grid must be strictly increasing and uniform")
-            if abs(phis[-1] + steps[0] - 2.0 * np.pi) > 1e-9:
-                raise ValidityError("phase grid must cover exactly one period [0, 2 pi)")
+        if phis.ndim != 1 or phis.size == 0 or values.shape != (len(self.lambdas), phis.size):
+            raise ValidityError("sweep needs a 1-d phase array and one value row per overlap")
 
     def out_of_range(self) -> NDArray[np.intp]:
-        """Indices where the value leaves [0, 1].
+        """Number of values outside [0, 1] in each row.
 
         Values are never clamped; out-of-range points signal that the
         single-visit amplitudes were pushed outside their validity.
         """
-        return np.nonzero((self.values < 0.0) | (self.values > 1.0))[0]
+        return np.count_nonzero((self.values < 0.0) | (self.values > 1.0), axis=1)
 
 
-def sweep_phase(params: RingParams, lam, n_points: int) -> PhaseSweep:
-    """Sample the transmission on ``n_points`` phases covering [0, 2 pi)."""
+def sweep_phase(params: RingParams, lambdas: Sequence[complex], n_points: int) -> PhaseSweep:
+    """Transmission on ``phase_grid(n_points)``, one row per overlap in ``lambdas``."""
     phis = phase_grid(n_points)
-    return PhaseSweep(phis=phis, values=transmission(params, lam, phis), lambda_used=lam)
+    values = np.empty((len(lambdas), n_points))
+    for i, row in enumerate(_dephased(params, phis, lambdas)):
+        values[i] = row
+    return PhaseSweep(phis=phis, lambdas=tuple(lambdas), values=values)
 
 
-def visibility(sweep: PhaseSweep) -> float:
-    """Oscillation contrast (max - min) / (max + min) over the sweep."""
-    values = sweep.values
-    if values.size == 0:
-        raise ValidityError("cannot take the visibility of an empty sweep")
+def visibility(values: ArrayLike) -> float:
+    """Oscillation contrast (max - min) / (max + min) of one row of values."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValidityError("visibility needs one nonempty row of transmission values")
     if np.any(values < 0.0):
         raise ValidityError("visibility needs nonnegative transmission values")
     hi = float(values.max())
@@ -121,14 +130,13 @@ def visibility(sweep: PhaseSweep) -> float:
 def sweep_lambda(
     params: RingParams, lambdas: Sequence[float], n_points: int
 ) -> list[tuple[float, float]]:
-    """Visibility of the phase sweep for each real overlap in ``lambdas``."""
-    out = []
+    """Visibility for each real overlap in ``lambdas``, each row reduced as it is made."""
+    lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
-        lam = float(lam)
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
-        out.append((lam, visibility(sweep_phase(params, lam, n_points))))
-    return out
+    rows = _dephased(params, phase_grid(n_points), lambdas)
+    return [(lam, visibility(row)) for lam, row in zip(lambdas, rows)]
 
 
 def double_slit_visibility(a: float, b: float, lam: float) -> float:
@@ -157,15 +165,15 @@ def dot_arm_rms(params: RingParams, n_points: int) -> float:
     return float(np.sqrt(np.mean(np.abs(t1) ** 2)))
 
 
-def rigidity_asymmetry(sweep: PhaseSweep, params: RingParams, lam) -> float:
-    """Largest violation of T(phi) = T(-phi) over the sweep grid.
+def rigidity_asymmetry(params: RingParams, lam, n_points: int) -> float:
+    """Largest violation of T(phi) = T(-phi) over ``phase_grid(n_points)``.
 
     The single-visit result breaks this two-terminal symmetry through the
     phase dependence of ``|t1|^2``; for real ``lam`` the interference term
     is even in ``phi`` and does not contribute.
     """
-    mirrored = transmission(params, lam, -sweep.phis)
-    return float(np.max(np.abs(sweep.values - mirrored)))
+    phis = phase_grid(n_points)
+    return float(np.max(np.abs(transmission(params, lam, phis) - transmission(params, lam, -phis))))
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ class TestSweepPhase:
         assert raw.endswith(b"\n")
         # 17 significant digits round-trip to the exact computed floats
         _, data = read_csv(out / "phase_sweep.csv")
-        sweep = sweep_phase(RingParams.from_x(0.4, 0.75, 1.25), 0.0, 720)
-        assert np.array_equal(data[:, 1], sweep.values)
+        sweep = sweep_phase(RingParams.from_x(0.4, 0.75, 1.25), [0.0], 720)
+        assert np.array_equal(data[:, 1], sweep.values[0])
         assert np.array_equal(data[:, 0], sweep.phis)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -193,3 +193,15 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write output")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep-phase", "sweep-lambda"])
+    @pytest.mark.parametrize("n_phi", [10**30, 2**62])
+    def test_oversized_grid_is_validity_error(self, tmp_path, capsys, command, n_phi):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"sweep.n_phi = {n_phi}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validity error: phase grid of {n_phi} points")
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())

@@ -1,5 +1,7 @@
 """Transmission, sweeps, visibility, the two-path reference, and thermal averaging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,7 @@ from abring import (
     transmission,
     visibility,
 )
+from abring import transport
 from test_ring import random_valid_ring
 
 # Frozen reference values at x = 0.4, |V| = 0.75, eps_d = 1.25 (exact fractions).
@@ -105,23 +108,23 @@ class TestTransmission:
 
 class TestPhaseSweep:
     def test_grid_properties(self, ref_ring):
-        sweep = sweep_phase(ref_ring, 0.0, 720)
+        sweep = sweep_phase(ref_ring, [0.0], 720)
         assert sweep.phis[0] == 0.0
         assert sweep.phis.size == 720
         assert sweep.phis[-1] < 2.0 * np.pi
         assert np.all(np.diff(sweep.phis) > 0)
 
     def test_reference_extremes(self, ref_ring):
-        sweep = sweep_phase(ref_ring, 0.0, 720)
-        assert_allclose(sweep.values.min(), SWEEP_MIN, rtol=1e-12)
-        assert_allclose(sweep.values.max(), SWEEP_MAX, rtol=1e-12)
-        assert sweep.values.argmin() == 180  # phi = pi/2
-        assert sweep.values.argmax() == 540  # phi = 3 pi/2
+        (values,) = sweep_phase(ref_ring, [0.0], 720).values
+        assert_allclose(values.min(), SWEEP_MIN, rtol=1e-12)
+        assert_allclose(values.max(), SWEEP_MAX, rtol=1e-12)
+        assert values.argmin() == 180  # phi = pi/2
+        assert values.argmax() == 540  # phi = 3 pi/2
 
     def test_constant_without_dot(self):
         p = RingParams(v_mag=0.0, eps_d=1.25)
-        sweep = sweep_phase(p, 0.7, 4)
-        assert_allclose(sweep.values, sweep.values[0], rtol=1e-14)
+        sweep = sweep_phase(p, [0.7], 4)
+        assert_allclose(sweep.values, sweep.values[0, 0], rtol=1e-14)
 
     def test_period_is_one_flux_quantum(self, ref_ring):
         phis = np.arange(256) * (4.0 * np.pi / 256)
@@ -130,67 +133,104 @@ class TestPhaseSweep:
 
     def test_rejects_tiny_grid(self, ref_ring):
         with pytest.raises(ValidityError):
-            sweep_phase(ref_ring, 0.0, 3)
-
-    def test_rejects_malformed_grids(self):
-        with pytest.raises(ValidityError):
-            PhaseSweep(phis=np.array([0.1, 0.2]), values=np.array([0.5, 0.5]), lambda_used=0.0)
-        with pytest.raises(ValidityError):
-            PhaseSweep(
-                phis=np.array([0.0, 0.2, 0.3]),
-                values=np.array([0.5, 0.5, 0.5]),
-                lambda_used=0.0,
-            )
-        with pytest.raises(ValidityError):  # uniform but not one full period
-            PhaseSweep(
-                phis=np.array([0.0, 1.0, 2.0]),
-                values=np.array([0.5, 0.5, 0.5]),
-                lambda_used=0.0,
-            )
+            sweep_phase(ref_ring, [0.0], 3)
 
     def test_out_of_range_diagnostics(self, ref_ring):
-        sweep = sweep_phase(ref_ring, 0.0, 720)
-        assert sweep.out_of_range().size == 0
+        sweep = sweep_phase(ref_ring, [0.0, 1.0], 720)
+        assert list(sweep.out_of_range()) == [0, 0]
         forced = PhaseSweep(
             phis=phase_grid(4),
-            values=np.array([0.5, 1.2, -0.1, 0.3]),
-            lambda_used=0.0,
+            lambdas=[0.0, 1.0],
+            values=np.array([[0.5, 1.2, -0.1, 0.3], [0.5, 0.5, 1.0, 0.0]]),
         )
-        assert list(forced.out_of_range()) == [1, 2]
+        assert list(forced.out_of_range()) == [2, 0]
 
     def test_in_unit_interval_for_all_overlaps(self, ref_ring):
-        for lam in np.linspace(0.0, 1.0, 11):
-            sweep = sweep_phase(ref_ring, lam, 720)
-            assert sweep.values.min() >= 0.0
-            assert sweep.values.max() <= 1.0
+        sweep = sweep_phase(ref_ring, np.linspace(0.0, 1.0, 11), 720)
+        assert sweep.values.min() >= 0.0
+        assert sweep.values.max() <= 1.0
+
+    def test_rejects_values_that_do_not_fit_grid_and_overlaps(self):
+        with pytest.raises(ValidityError):
+            PhaseSweep(phis=phase_grid(4), lambdas=[0.0, 1.0], values=np.zeros((1, 4)))
+        with pytest.raises(ValidityError):
+            PhaseSweep(phis=phase_grid(4), lambdas=[0.0], values=np.zeros(4))
+
+    def test_rows_equal_transmission(self, rng):
+        lambdas = (0.0, 0.25, 1.0, 0.3 + 0.4j)
+        for _ in range(20):
+            p = random_valid_ring(rng)
+            sweep = sweep_phase(p, lambdas, 64)
+            assert sweep.values.shape == (4, 64)
+            t0, t1 = amplitude_t0(p, sweep.phis), amplitude_t1(p, sweep.phis)
+            for lam, row in zip(lambdas, sweep.values):
+                assert np.array_equal(row, transmission(p, lam, sweep.phis))
+                # The written formula, in this order, fixes the printed digits.
+                formula = np.abs(t0) ** 2 + np.abs(t1) ** 2 + 2.0 * np.real(lam * np.conj(t0) * t1)
+                assert np.array_equal(row, formula)
+
+    def test_every_overlap_is_checked(self, ref_ring):
+        with pytest.raises(ValidityError):
+            sweep_phase(ref_ring, [0.0, 1.01], 16)
+        with pytest.raises(ValidityError):
+            sweep_phase(ref_ring, [0.5, NAN], 16)
+
+    def test_amplitudes_evaluated_once_per_sweep(self, ref_ring, monkeypatch):
+        calls = []
+
+        def counted(params, phi):
+            calls.append(np.shape(phi))
+            return amplitude_t1(params, phi)
+
+        monkeypatch.setattr(transport, "amplitude_t1", counted)
+        sweep_phase(ref_ring, np.linspace(0.0, 1.0, 11), 64)
+        sweep_lambda(ref_ring, np.linspace(0.0, 1.0, 11), 64)
+        assert calls == [(64,), (64,)]
+
+
+class TestPhaseGrid:
+    @pytest.mark.parametrize("n_points", [10**30, 2**62])
+    def test_oversized_grid_is_validity_error(self, n_points):
+        with pytest.raises(ValidityError, match=f"phase grid of {n_points} points"):
+            phase_grid(n_points)
+
+    def test_memory_error_is_validity_error(self, monkeypatch):
+        def no_memory(n):
+            raise MemoryError(f"Unable to allocate an array of {n} points")
+
+        monkeypatch.setattr(transport.np, "arange", no_memory)
+        with pytest.raises(ValidityError, match="phase grid of 4096 points"):
+            phase_grid(4096)
 
 
 class TestVisibility:
     def test_reference_value(self, ref_ring):
-        assert_allclose(visibility(sweep_phase(ref_ring, 0.0, 720)), VIS_AT_ZERO, rtol=1e-12)
+        assert_allclose(
+            visibility(sweep_phase(ref_ring, [0.0], 720).values[0]), VIS_AT_ZERO, rtol=1e-12
+        )
 
     def test_constant_sweep_has_zero_visibility(self):
         p = RingParams(v_mag=0.0, eps_d=1.25)
         # |exp(-i phi)| rounds in the last ulp, so "constant" means to 1e-15
-        assert visibility(sweep_phase(p, 0.0, 16)) < 1e-15
-        flat = PhaseSweep(phis=phase_grid(4), values=np.full(4, 0.4), lambda_used=0.0)
-        assert visibility(flat) == 0.0
+        assert visibility(sweep_phase(p, [0.0], 16).values[0]) < 1e-15
+        assert visibility(np.full(4, 0.4)) == 0.0
 
     def test_all_zero_sweep_rejected(self):
-        sweep = PhaseSweep(phis=phase_grid(4), values=np.zeros(4), lambda_used=0.0)
         with pytest.raises(ValidityError):
-            visibility(sweep)
+            visibility(np.zeros(4))
 
     def test_negative_values_rejected(self):
-        sweep = PhaseSweep(
-            phis=phase_grid(4), values=np.array([0.5, -0.1, 0.5, 0.5]), lambda_used=0.0
-        )
         with pytest.raises(ValidityError):
-            visibility(sweep)
+            visibility(np.array([0.5, -0.1, 0.5, 0.5]))
+
+    def test_takes_exactly_one_row(self):
+        with pytest.raises(ValidityError):
+            visibility(np.full((2, 4), 0.4))
+        with pytest.raises(ValidityError):
+            visibility(np.array([]))
 
     def test_perfect_detection_reduces_but_keeps_contrast(self, ref_ring):
-        vis_full = visibility(sweep_phase(ref_ring, 1.0, 720))
-        vis_dead = visibility(sweep_phase(ref_ring, 0.0, 720))
+        vis_full, vis_dead = map(visibility, sweep_phase(ref_ring, [1.0, 0.0], 720).values)
         assert vis_full > vis_dead > 0.19
         assert vis_dead < 0.24
 
@@ -203,7 +243,9 @@ class TestSweepLambda:
 
     def test_endpoints_match_direct_sweeps(self, ref_ring):
         pairs = sweep_lambda(ref_ring, [0.0, 1.0], 720)
-        assert_allclose(pairs[0][1], visibility(sweep_phase(ref_ring, 0.0, 720)), rtol=1e-15)
+        assert_allclose(
+            pairs[0][1], visibility(sweep_phase(ref_ring, [0.0], 720).values[0]), rtol=1e-15
+        )
         coherent = np.abs(
             amplitude_t0(ref_ring, phase_grid(720)) + amplitude_t1(ref_ring, phase_grid(720))
         ) ** 2
@@ -215,6 +257,27 @@ class TestSweepLambda:
             sweep_lambda(ref_ring, [0.0, 1.2], 720)
         with pytest.raises(ValidityError):
             sweep_lambda(ref_ring, [-0.1], 720)
+
+    def test_equals_visibility_of_each_transmission(self, rng):
+        lambdas = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
+        for _ in range(20):
+            p = random_valid_ring(rng)
+            phis = phase_grid(128)
+            old_route = [(lam, visibility(transmission(p, lam, phis))) for lam in lambdas]
+            assert sweep_lambda(p, lambdas, 128) == old_route
+
+    def test_memory_does_not_grow_with_overlaps(self, ref_ring):
+        def peak(n_lambdas):
+            lambdas = np.linspace(0.0, 1.0, n_lambdas)
+            tracemalloc.start()
+            try:
+                sweep_lambda(ref_ring, lambdas, 8192)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # One (overlaps, phases) complex temporary would add about 8 MB at 64 overlaps.
+        assert peak(64) <= 1.25 * peak(4)
 
 
 class TestDoubleSlit:
@@ -249,8 +312,7 @@ class TestDoubleSlit:
 
 class TestRigidityAsymmetry:
     def test_reference_asymmetry(self, ref_ring):
-        sweep = sweep_phase(ref_ring, 0.0, 720)
-        assert_allclose(rigidity_asymmetry(sweep, ref_ring, 0.0), ASYMMETRY, rtol=1e-12)
+        assert_allclose(rigidity_asymmetry(ref_ring, 0.0, 720), ASYMMETRY, rtol=1e-12)
 
     def test_point_asymmetry_at_quarter_period(self, ref_ring):
         delta = transmission(ref_ring, 0.0, np.pi / 2) - transmission(ref_ring, 0.0, -np.pi / 2)
@@ -258,14 +320,12 @@ class TestRigidityAsymmetry:
 
     def test_no_dot_is_rigid(self):
         p = RingParams(v_mag=0.0, eps_d=1.25)
-        sweep = sweep_phase(p, 0.0, 64)
-        assert rigidity_asymmetry(sweep, p, 0.0) < 1e-15
+        assert rigidity_asymmetry(p, 0.0, 64) < 1e-15
 
     def test_independent_of_real_overlap(self, ref_ring):
         # The interference term is even in phi for real overlap, so the
         # asymmetry comes from |t1|^2 alone.
-        sweeps = {lam: sweep_phase(ref_ring, lam, 720) for lam in (0.0, 0.4, 1.0)}
-        asyms = [rigidity_asymmetry(s, ref_ring, lam) for lam, s in sweeps.items()]
+        asyms = [rigidity_asymmetry(ref_ring, lam, 720) for lam in (0.0, 0.4, 1.0)]
         assert_allclose(asyms[1], asyms[0], rtol=0, atol=1e-13)
         assert_allclose(asyms[2], asyms[0], rtol=0, atol=1e-13)
 
