@@ -5,7 +5,6 @@ solver, two-particle scattering-matrix rigidity checks, and a CLI for
 reproducible sweeps.
 """
 
-from .detector import DetectorParams, detector_from_angle, detector_from_overlap, overlap_lambda
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .oracle import (
     ResolventModel,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DetectorParams",
     "DiagramComponents",
     "OffResonanceWarning",
     "PhaseSweep",
@@ -66,15 +64,12 @@ __all__ = [
     "ValidityError",
     "amplitude_t0",
     "amplitude_t1",
-    "detector_from_angle",
-    "detector_from_overlap",
     "diagram_components",
     "dot_arm_rms",
     "double_slit_visibility",
     "energy_resolved_transmission",
     "exact_amplitude",
     "factorized_s",
-    "overlap_lambda",
     "phase_grid",
     "random_symmetric_unitary",
     "random_unitary",

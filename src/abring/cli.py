@@ -17,15 +17,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig, load_config
 from .errors import ConfigError, ValidityError
 from .ring import amplitude_t0
-from .smatrix import (
-    factorized_s,
-    random_symmetric_unitary,
-    reciprocal_from_generator,
-    reciprocal_ring_family,
-    rigidity_report,
-    seeded_generator,
-    symmetric_phi_grid,
-)
+from .smatrix import factorized_family, generic_family, rigidity_report, symmetric_phi_grid
 from .svgplot import write_line_plot
 from .transport import double_slit_visibility, dot_arm_rms, sweep_lambda, sweep_phase
 from .verify import run_all
@@ -83,7 +75,7 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     pairs = sweep_lambda(cfg.ring, cfg.lambda_list, cfg.n_phi)
     arm_a = float(abs(amplitude_t0(cfg.ring, 0.0)))
-    arm_b = dot_arm_rms(cfg.ring, cfg.n_phi)
+    arm_b = dot_arm_rms(cfg.ring)
     rows = [
         (lam, vis, double_slit_visibility(arm_a, arm_b, lam)) for lam, vis in pairs
     ]
@@ -124,23 +116,12 @@ def cmd_rigidity(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     grid = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
     cases = [
-        (
-            "rigidity_factorized.csv",
-            rigidity_report(
-                factorized_s(
-                    reciprocal_ring_family(cfg.seed + 1),
-                    random_symmetric_unitary(cfg.seed + 2),
-                ),
-                grid,
-            ),
-        ),
-        (
-            "rigidity_generic.csv",
-            rigidity_report(reciprocal_from_generator(seeded_generator(cfg.seed)), grid),
-        ),
+        ("rigidity_factorized.csv", factorized_family(cfg.seed + 1, cfg.seed + 2)),
+        ("rigidity_generic.csv", generic_family(cfg.seed)),
     ]
     header = ["phi", "T_pos", "T_neg", "s12sq_minus_s21sq", "identity_residual"]
-    for filename, report in cases:
+    for filename, family in cases:
+        report = rigidity_report(family, grid)
         path = os.path.join(cfg.out_dir, filename)
         _write_csv(
             path,

@@ -112,21 +112,14 @@ def second_order_amplitude(params: RingParams, phi: float, energy: float = 0.0) 
     hops, ``G0 Hv G0 Hv G0``; no closed-form ring algebra is reused, so a
     match against ``amplitude_t1`` is a genuine cross-validation.
     """
-    pi_rho = np.pi * params.rho
-    w = params.w_mag * np.exp(1j * phi)
-    v = params.v_mag
-    a0 = np.array(
-        [
-            [1.0 / (-1j * pi_rho), -w, 0.0],
-            [-np.conj(w), 1.0 / (-1j * pi_rho), 0.0],
-            [0.0, 0.0, energy - params.eps_d],
-        ],
-        dtype=complex,
-    )
-    hv = np.array([[0, 0, v], [0, 0, v], [v, v, 0]], dtype=complex)
+    model = ResolventModel.from_ring(params, phi)
+    a = model._inverse_propagator(energy)
+    a0 = a.copy()
+    a0[:2, 2] = a0[2, :2] = 0.0  # cut the four dot hops
+    hv = a0 - a
     g0 = np.linalg.inv(a0)
     g2 = g0 @ hv @ g0 @ hv @ g0
-    return complex(2j / pi_rho * g2[1, 0])
+    return complex(model.norm_const * g2[1, 0])
 
 
 def truncation_residual(params: RingParams, phi: float) -> float:

@@ -180,9 +180,5 @@ def diagram_components(params: RingParams, phi) -> DiagramComponents:
     crossing = 1j * x * np.exp(-1j * phi)  # one dressed junction crossing
     c_ll = prefactor * crossing
     c_rl = prefactor * crossing * crossing * -1.0  # (ix e^{-i phi})^2 = -x^2 e^{-2i phi}
-    if np.ndim(phi) == 0:
-        return DiagramComponents(
-            c_lr=-prefactor, c_ll=complex(c_ll), c_rr=complex(c_ll), c_rl=complex(c_rl)
-        )
-    c_lr = np.full(np.shape(phi), -prefactor, dtype=complex)
+    c_lr = np.full(np.shape(phi), -prefactor, dtype=complex)[()]
     return DiagramComponents(c_lr=c_lr, c_ll=c_ll, c_rr=c_ll, c_rl=c_rl)

@@ -17,7 +17,9 @@ reciprocal family does not.
 
 Generic families are produced as ``S(phi) = U(phi) U(-phi)^T`` from a
 seeded unitary generator family, which enforces both constraints by
-construction while leaving rigidity free to break.
+construction while leaving rigidity free to break.  ``generic_family``
+and ``factorized_family`` build the two seeded kinds that the rigidity
+command and the verification suite tabulate.
 
 Family callables are evaluated over a whole phase grid at once: a family
 takes a float array of phases of any shape ``(...)`` (a 0-d array for a
@@ -46,6 +48,8 @@ __all__ = [
     "reciprocal_ring_family",
     "random_symmetric_unitary",
     "factorized_s",
+    "generic_family",
+    "factorized_family",
     "transmission_from_s",
     "symmetric_phi_grid",
     "rigidity_report",
@@ -204,6 +208,16 @@ def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSM
         return _kron(r, det)
 
     return TwoParticleSMatrix(s_of_phi)
+
+
+def generic_family(seed: int) -> TwoParticleSMatrix:
+    """Seeded generic reciprocal family, free to break rigidity."""
+    return reciprocal_from_generator(seeded_generator(seed))
+
+
+def factorized_family(ring_seed: int, detector_seed: int) -> TwoParticleSMatrix:
+    """Seeded ring family times a seeded symmetric detector: rigid."""
+    return factorized_s(reciprocal_ring_family(ring_seed), random_symmetric_unitary(detector_seed))
 
 
 def _transmission(m: NDArray[np.complex128]) -> NDArray[np.float64]:

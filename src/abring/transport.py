@@ -155,14 +155,21 @@ def double_slit_visibility(a: float, b: float, lam: float) -> float:
     return lam * slope
 
 
-def dot_arm_rms(params: RingParams, n_points: int) -> float:
-    """Root mean square of ``|t1|`` over one period of the phase grid.
+def dot_arm_rms(params: RingParams) -> float:
+    """Root mean square of ``|t1|`` over one flux period, in closed form.
+
+    ``|t1|^2`` is a degree-2 trigonometric polynomial in ``phi``, so its
+    mean over the period (or over any uniform grid of 3 or more points)
+    is its zeroth harmonic, which gives
+
+        |Gamma/eps_d| * 2x / (1 + x^2) * sqrt(4 + x^2 + 1/x^2).
 
     Used as the dot-arm amplitude of the double-slit reference, pairing
     with the phase-independent ``|t0|`` for the other arm.
     """
-    t1 = amplitude_t1(params, phase_grid(n_points))
-    return float(np.sqrt(np.mean(np.abs(t1) ** 2)))
+    x = params.x
+    t0_mag = 2.0 * x / (1.0 + x * x)
+    return abs(params.gamma / params.eps_d) * t0_mag * math.sqrt(4.0 + x * x + 1.0 / (x * x))
 
 
 def rigidity_asymmetry(params: RingParams, lam, n_points: int) -> float:
@@ -170,7 +177,10 @@ def rigidity_asymmetry(params: RingParams, lam, n_points: int) -> float:
 
     The single-visit result breaks this two-terminal symmetry through the
     phase dependence of ``|t1|^2``; for real ``lam`` the interference term
-    is even in ``phi`` and does not contribute.
+    is even in ``phi`` and does not contribute.  The asymmetry is therefore
+    the same at ``lam = 1``, where the detector records nothing, as at
+    ``lam = 0``: it is an artifact of the single-visit truncation, not of
+    detection.  The all-order coherent ``|exact_amplitude|^2`` is rigid.
     """
     phis = phase_grid(n_points)
     return float(np.max(np.abs(transmission(params, lam, phis) - transmission(params, lam, -phis))))

@@ -14,15 +14,7 @@ import numpy as np
 
 from .oracle import exact_amplitude, second_order_amplitude, truncation_residual
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
-from .smatrix import (
-    factorized_s,
-    random_symmetric_unitary,
-    reciprocal_from_generator,
-    reciprocal_ring_family,
-    rigidity_report,
-    seeded_generator,
-    symmetric_phi_grid,
-)
+from .smatrix import factorized_family, generic_family, rigidity_report, symmetric_phi_grid
 
 __all__ = ["SuiteResult", "run_all"]
 
@@ -137,16 +129,12 @@ def rigidity_suite(
     worst_identity = 0.0
     largest_generic = 0.0
     for k in range(n_families):
-        report = rigidity_report(reciprocal_from_generator(seeded_generator(seed + k)), grid)
+        report = rigidity_report(generic_family(seed + k), grid)
         worst_identity = max(worst_identity, report.max_identity_residual)
         largest_generic = max(largest_generic, report.max_asymmetry)
     worst_factorized = 0.0
     for k in range(n_factorized):
-        s = factorized_s(
-            reciprocal_ring_family(seed + 10_000 + k),
-            random_symmetric_unitary(seed + 20_000 + k),
-        )
-        report = rigidity_report(s, grid)
+        report = rigidity_report(factorized_family(seed + 10_000 + k, seed + 20_000 + k), grid)
         worst_factorized = max(worst_factorized, report.max_asymmetry)
         worst_identity = max(worst_identity, report.max_identity_residual)
     passed = (

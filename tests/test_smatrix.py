@@ -17,6 +17,7 @@ from abring import (
     symmetric_phi_grid,
     transmission_from_s,
 )
+from abring.smatrix import factorized_family, generic_family
 
 GRID = symmetric_phi_grid(64)
 
@@ -182,14 +183,24 @@ class TestRigidityReport:
         assert np.array_equal(a.identity_residual, b.identity_residual)
 
 
+class TestFamilyBuilders:
+    def test_builders_equal_their_spelled_out_construction(self):
+        for seed in range(10):
+            generic = reciprocal_from_generator(seeded_generator(seed))
+            factorized = factorized_s(
+                reciprocal_ring_family(seed + 1), random_symmetric_unitary(seed + 2)
+            )
+            assert np.array_equal(generic_family(seed).at(GRID), generic.at(GRID))
+            built = factorized_family(seed + 1, seed + 2)
+            assert np.array_equal(built.at(GRID), factorized.at(GRID))
+
+
 def _generic(seed):
-    return reciprocal_from_generator(seeded_generator(seed))
+    return generic_family(seed)
 
 
 def _factorized(seed):
-    return factorized_s(
-        reciprocal_ring_family(10_000 + seed), random_symmetric_unitary(20_000 + seed)
-    )
+    return factorized_family(10_000 + seed, 20_000 + seed)
 
 
 class TestBatchedParity:

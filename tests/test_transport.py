@@ -16,10 +16,12 @@ from abring import (
     dot_arm_rms,
     double_slit_visibility,
     energy_resolved_transmission,
+    exact_amplitude,
     phase_grid,
     rigidity_asymmetry,
     sweep_lambda,
     sweep_phase,
+    symmetric_phi_grid,
     thermal_transmission,
     transmission,
     visibility,
@@ -294,12 +296,20 @@ class TestDoubleSlit:
 
     def test_reference_arm_values(self, ref_ring):
         a = abs(complex(amplitude_t0(ref_ring, 0.0)))
-        b = dot_arm_rms(ref_ring, 720)
-        # RMS of |t1| over the grid: mean of f(sin phi) = 4/2 + 8.41 = 10.41
+        b = dot_arm_rms(ref_ring)
+        # RMS of |t1| over a period: mean of f(sin phi) = 4/2 + 8.41 = 10.41
         assert_allclose(b, np.sqrt(8100.0 / 707281.0 * 10.41), rtol=1e-13)
         assert_allclose(
             double_slit_visibility(a, b, 1.0), 2.0 * a * b / (a * a + b * b), rtol=1e-15
         )
+
+    def test_arm_rms_equals_mean_over_any_uniform_grid(self, rng):
+        for _ in range(200):
+            p = random_valid_ring(rng)
+            for n_points in (3, 4, 64, 720):
+                t1 = amplitude_t1(p, 2.0 * np.pi * np.arange(n_points) / n_points)
+                grid_rms = np.sqrt(np.mean(np.abs(t1) ** 2))
+                assert_allclose(dot_arm_rms(p), grid_rms, rtol=1e-13)
 
     def test_rejects_degenerate_arms(self):
         with pytest.raises(ValidityError):
@@ -328,6 +338,21 @@ class TestRigidityAsymmetry:
         asyms = [rigidity_asymmetry(ref_ring, lam, 720) for lam in (0.0, 0.4, 1.0)]
         assert_allclose(asyms[1], asyms[0], rtol=0, atol=1e-13)
         assert_allclose(asyms[2], asyms[0], rtol=0, atol=1e-13)
+
+    def test_all_order_coherent_transmission_is_rigid(self, ref_ring, rng):
+        # Two-terminal Onsager symmetry: |exact_amplitude|^2 is even in phi at
+        # every energy, so the single-visit asymmetry, which survives at
+        # lam = 1 where the detector records nothing, is a truncation artifact.
+        phis = symmetric_phi_grid(64)
+        assert np.array_equal(phis[::-1], -phis)
+        energies = np.array([0.0, 0.2])
+        worst = 0.0
+        for _ in range(200):
+            p = random_valid_ring(rng)
+            t = np.abs([exact_amplitude(p, phi, energies) for phi in phis]) ** 2
+            worst = max(worst, float(np.max(np.abs(t - t[::-1]))))
+        assert worst < 1e-12
+        assert round(rigidity_asymmetry(ref_ring, 1.0, 720), 4) == 0.2657
 
 
 class TestThermal:
