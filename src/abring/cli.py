@@ -43,14 +43,18 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _warn_out_of_range(lam: float, bad: int) -> None:
+    if bad:
+        msg = f"warning: {bad} transmission values outside [0, 1] for lambda={lam:g}"
+        print(msg, file=sys.stderr)
+
+
 def cmd_sweep_phase(cfg: RunConfig) -> int:
     """Transmission over one flux period, one column per detector overlap."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
     for lam, bad in zip(sweep.lambdas, sweep.out_of_range()):
-        if bad:
-            msg = f"warning: {bad} transmission values outside [0, 1] for lambda={lam:g}"
-            print(msg, file=sys.stderr)
+        _warn_out_of_range(lam, bad)
     csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
     header = ["phi"] + [f"T_lambda={_fmt(lam)}" for lam in cfg.lambda_list]
     _write_csv(csv_path, header, zip(sweep.phis, *sweep.values))
@@ -73,12 +77,12 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     """Closed-loop visibility against the detector overlap, with the
     fixed-two-path reference alongside."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    pairs = sweep_lambda(cfg.ring, cfg.lambda_list, cfg.n_phi)
     arm_a = float(abs(amplitude_t0(cfg.ring, 0.0)))
     arm_b = dot_arm_rms(cfg.ring)
-    rows = [
-        (lam, vis, double_slit_visibility(arm_a, arm_b, lam)) for lam, vis in pairs
-    ]
+    rows = []
+    for lam, vis, bad in sweep_lambda(cfg.ring, cfg.lambda_list, cfg.n_phi):
+        _warn_out_of_range(lam, bad)
+        rows.append((lam, vis, double_slit_visibility(arm_a, arm_b, lam)))
     csv_path = os.path.join(cfg.out_dir, "visibility.csv")
     _write_csv(
         csv_path,

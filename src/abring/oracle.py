@@ -14,6 +14,10 @@ direct amplitude for every coupling and phase, which gives
 ``N = 2i / (pi rho)``.  Nothing else is fit: the second-order content of
 the same resolvent must then match the closed-form single-visit amplitude
 on its own, and the leftover quantifies the truncation error.
+
+``ResolventModel(params, phi)`` is the whole model: each solve builds
+``g^{-1} - H`` from the ring, so ``H`` is Hermitian by construction and
+the only checks are those ``RingParams`` makes when it is built.
 """
 
 from __future__ import annotations
@@ -34,56 +38,34 @@ __all__ = [
 ]
 
 
-def _hop_matrix(params: RingParams, phi: float) -> NDArray[np.complex128]:
-    """Hermitian hop matrix on the (L, R, dot) basis.
-
-    The direct hop L<-R carries ``|W| e^{i phi}`` so that L->R transmission
-    picks up ``e^{-i phi}``.
-    """
-    w = params.w_mag * np.exp(1j * phi)
-    v = params.v_mag
-    return np.array(
-        [
-            [0.0, w, v],
-            [np.conj(w), 0.0, v],
-            [v, v, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
 @dataclass(frozen=True)
 class ResolventModel:
     """Three-site resolvent of the ring at a fixed flux phase."""
 
-    g_lead: complex
-    eps_d: float
-    hop_matrix: NDArray[np.complex128]
-    norm_const: complex
+    params: RingParams
+    phi: float
 
-    def __post_init__(self) -> None:
-        hop = np.asarray(self.hop_matrix, dtype=complex)
-        if hop.shape != (3, 3) or not np.allclose(hop, hop.conj().T, rtol=0, atol=1e-13):
-            raise ValueError("hop matrix must be 3x3 Hermitian")
-        object.__setattr__(self, "hop_matrix", hop)
-
-    @classmethod
-    def from_ring(cls, params: RingParams, phi: float) -> "ResolventModel":
-        pi_rho = np.pi * params.rho
-        return cls(
-            g_lead=-1j * pi_rho,
-            eps_d=params.eps_d,
-            hop_matrix=_hop_matrix(params, phi),
-            norm_const=2j / pi_rho,
-        )
+    @property
+    def norm_const(self) -> complex:
+        """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
+        return 2j / (np.pi * self.params.rho)
 
     def _inverse_propagator(self, energy) -> NDArray[np.complex128]:
-        """g^{-1} - H for one energy or a stack of energies."""
+        """g^{-1} - H for one energy or a stack of energies.
+
+        The direct hop L<-R carries ``|W| e^{i phi}`` so that L->R
+        transmission picks up ``e^{-i phi}``.
+        """
+        p = self.params
+        w = p.w_mag * np.exp(1j * self.phi)
+        v = p.v_mag
+        hop = np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
         energy = np.asarray(energy, dtype=float)
-        a = np.broadcast_to(-self.hop_matrix, energy.shape + (3, 3)).copy()
-        a[..., 0, 0] += 1.0 / self.g_lead
-        a[..., 1, 1] += 1.0 / self.g_lead
-        a[..., 2, 2] += energy - self.eps_d
+        a = np.broadcast_to(-hop, energy.shape + (3, 3)).copy()
+        g_lead = -1j * (np.pi * p.rho)
+        a[..., 0, 0] += 1.0 / g_lead
+        a[..., 1, 1] += 1.0 / g_lead
+        a[..., 2, 2] += energy - p.eps_d
         return a
 
     def amplitude(self, energy):
@@ -102,7 +84,7 @@ class ResolventModel:
 
 def exact_amplitude(params: RingParams, phi: float, energy=0.0):
     """All-order transmission amplitude from the three-site resolvent."""
-    return ResolventModel.from_ring(params, phi).amplitude(energy)
+    return ResolventModel(params, phi).amplitude(energy)
 
 
 def second_order_amplitude(params: RingParams, phi: float, energy: float = 0.0) -> complex:
@@ -112,7 +94,7 @@ def second_order_amplitude(params: RingParams, phi: float, energy: float = 0.0) 
     hops, ``G0 Hv G0 Hv G0``; no closed-form ring algebra is reused, so a
     match against ``amplitude_t1`` is a genuine cross-validation.
     """
-    model = ResolventModel.from_ring(params, phi)
+    model = ResolventModel(params, phi)
     a = model._inverse_propagator(energy)
     a0 = a.copy()
     a0[:2, 2] = a0[2, :2] = 0.0  # cut the four dot hops
@@ -134,7 +116,7 @@ def truncation_residual(params: RingParams, phi: float) -> float:
 
 def energy_resolved_transmission(params: RingParams, phi: float):
     """Callable E -> |exact amplitude|^2, for thermal averaging."""
-    model = ResolventModel.from_ring(params, phi)
+    model = ResolventModel(params, phi)
 
     def tfun(energy):
         return np.abs(model.amplitude(energy)) ** 2

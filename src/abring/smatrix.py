@@ -25,8 +25,9 @@ Family callables are evaluated over a whole phase grid at once: a family
 takes a float array of phases of any shape ``(...)`` (a 0-d array for a
 single phase) and returns a ``(..., d, d)`` stack of matrices, or an array
 that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
-Unitarity is checked once per stack, and a failure names the phase of the
-worst defect.
+``TwoParticleSMatrix.at`` checks that S itself is unitary, once per stack,
+and raises ``ValidityError`` naming the phase of the worst defect.
+``validate`` adds reciprocity; ``factorized_s`` checks its detector once.
 """
 
 from __future__ import annotations
@@ -72,21 +73,21 @@ def _unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _check_defect(
-    defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float, error: type[Exception]
+    defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float
 ) -> None:
-    """Raise ``error`` naming the worst defect, and its phase, if any exceeds tol."""
+    """Raise ``ValidityError`` naming the worst defect, and its phase, if any exceeds tol."""
     if phi is not None:
         phi, defect = np.broadcast_arrays(phi, defect)
     if np.any(defect > tol):
         k = np.argmax(defect)
         at = "" if phi is None else f" at phi={float(phi.flat[k])!r}"
-        raise error(f"{what}{at} (defect {defect.flat[k]:.3e})")
+        raise ValidityError(f"{what}{at} (defect {defect.flat[k]:.3e})")
 
 
 def _require_unitary(m: NDArray[np.complex128], what: str, phi: ArrayLike | None = None) -> None:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary", UNITARITY_TOL, ValueError)
+    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary", UNITARITY_TOL)
 
 
 # Bit-for-bit agreement with per-phase evaluation rests on three choices.
@@ -141,40 +142,37 @@ class TwoParticleSMatrix:
     s_of_phi: Family
 
     def at(self, phi: ArrayLike) -> NDArray[np.complex128]:
-        """S at a phase or a phase array: shape ``np.shape(phi) + (4, 4)``."""
+        """Unitary S at a phase or a phase array: shape ``np.shape(phi) + (4, 4)``."""
         phi = np.asarray(phi, dtype=float)
         m = np.asarray(self.s_of_phi(phi), dtype=complex)
         shape = phi.shape + (4, 4)
-        if m.shape == shape:
-            return m
-        if m.shape[-2:] != (4, 4):
-            raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")
-        return np.broadcast_to(m, shape).copy()
+        if m.shape != shape:
+            if m.shape[-2:] != (4, 4):
+                raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")
+            m = np.broadcast_to(m, shape).copy()
+        _require_unitary(m, "scattering matrix S(phi)", phi)
+        return m
 
     def validate(self, phis: ArrayLike, atol: float = UNITARITY_TOL) -> None:
-        """Check unitarity and reciprocity on a sample of phases."""
+        """Check reciprocity to ``atol`` on a sample of phases; ``at`` checks unitarity."""
         phis = np.asarray(phis, dtype=float)
         m = self.at(phis)
-        _check_defect(_unitarity_defect(m), phis, "unitarity broken", atol, ValidityError)
         recip = np.max(np.abs(m - _transpose(self.at(-phis))), axis=(-2, -1))
-        _check_defect(recip, phis, "reciprocity broken", atol, ValidityError)
+        _check_defect(recip, phis, "reciprocity broken", atol)
 
 
 def _reciprocal(u_of_phi: Family) -> Family:
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
-        u_pos = np.asarray(u_of_phi(phi), dtype=complex)
-        u_neg = np.asarray(u_of_phi(-phi), dtype=complex)
-        _require_unitary(u_pos, "generator U(phi)", phi)
-        _require_unitary(u_neg, "generator U(-phi)", -phi)
-        return u_pos @ _transpose(u_neg)
+        return u_of_phi(phi) @ _transpose(u_of_phi(-phi))
 
     return s_of_phi
 
 
 def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
-    """Reciprocal unitary family ``S(phi) = U(phi) U(-phi)^T``.
+    """Reciprocal family ``S(phi) = U(phi) U(-phi)^T``.
 
-    Rejects generators that are not unitary at an evaluated phase.
+    Reciprocal by construction; ``at`` rejects an S that is not unitary at
+    an evaluated phase, so a non-unitary U whose S is unitary is accepted.
     """
     return TwoParticleSMatrix(_reciprocal(u_of_phi))
 
@@ -203,9 +201,7 @@ def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSM
         raise ValueError("phase-independent detector matrix must be symmetric")
 
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
-        r = np.asarray(ring_s(phi), dtype=complex)
-        _require_unitary(r, "ring scattering matrix", phi)
-        return _kron(r, det)
+        return _kron(np.asarray(ring_s(phi), dtype=complex), det)
 
     return TwoParticleSMatrix(s_of_phi)
 

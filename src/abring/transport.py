@@ -79,6 +79,11 @@ def phase_grid(n_points: int) -> NDArray[np.float64]:
         raise ValidityError(f"phase grid of {n_points} points does not fit in memory") from exc
 
 
+def _count_out_of_range(values: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Number of values outside [0, 1] along the last axis."""
+    return np.count_nonzero((values < 0.0) | (values > 1.0), axis=-1)
+
+
 @dataclass(frozen=True)
 class PhaseSweep:
     """Transmission on a ``phase_grid``; ``values[i]`` is T(phis) at ``lambdas[i]``."""
@@ -101,7 +106,7 @@ class PhaseSweep:
         Values are never clamped; out-of-range points signal that the
         single-visit amplitudes were pushed outside their validity.
         """
-        return np.count_nonzero((self.values < 0.0) | (self.values > 1.0), axis=1)
+        return _count_out_of_range(self.values)
 
 
 def sweep_phase(params: RingParams, lambdas: Sequence[complex], n_points: int) -> PhaseSweep:
@@ -129,14 +134,14 @@ def visibility(values: ArrayLike) -> float:
 
 def sweep_lambda(
     params: RingParams, lambdas: Sequence[float], n_points: int
-) -> list[tuple[float, float]]:
-    """Visibility for each real overlap in ``lambdas``, each row reduced as it is made."""
+) -> list[tuple[float, float, int]]:
+    """(lambda, visibility, out-of-range count) per real overlap, each row reduced as made."""
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
-    rows = _dephased(params, phase_grid(n_points), lambdas)
-    return [(lam, visibility(row)) for lam, row in zip(lambdas, rows)]
+    rows = zip(lambdas, _dephased(params, phase_grid(n_points), lambdas))
+    return [(lam, visibility(row), int(_count_out_of_range(row))) for lam, row in rows]
 
 
 def double_slit_visibility(a: float, b: float, lam: float) -> float:

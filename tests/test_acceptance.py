@@ -12,7 +12,6 @@ import pytest
 from abring import (
     RingParams,
     ThermalConfig,
-    double_slit_visibility,
     energy_resolved_transmission,
     sweep_phase,
     thermal_transmission,
@@ -20,6 +19,7 @@ from abring import (
     truncation_residual,
     visibility,
 )
+from abring.transport import double_slit_visibility
 from abring.verify import (
     calibration_suite,
     diagram_sum_suite,

@@ -97,6 +97,22 @@ class TestSweepLambda:
         main(["sweep-lambda", "--out", str(out_b)])
         assert (out_a / "visibility.csv").read_bytes() == (out_b / "visibility.csv").read_bytes()
 
+    def test_warns_like_sweep_phase_when_values_leave_unit_interval(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "ring.rho = 0.2\nsweep.n_phi = 64\nsweep.lambda_list = 0, 0.1, 0.333, 0.9, 1\n",
+            encoding="utf-8",
+        )
+        assert main(["sweep-phase", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        phase_err = capsys.readouterr().err
+        assert main(["sweep-lambda", "--config", str(cfg), "--out", str(tmp_path / "l")]) == 0
+        lambda_err = capsys.readouterr().err
+        assert lambda_err == phase_err
+        assert lambda_err.splitlines() == [
+            f"warning: {n} transmission values outside [0, 1] for lambda={lam}"
+            for n, lam in [(31, "0"), (31, "0.1"), (32, "0.333"), (34, "0.9"), (34, "1")]
+        ]
+
 
 class TestVerify:
     def test_passes_and_reports(self, tmp_path, capsys):

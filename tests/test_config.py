@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from abring import ConfigError, OffResonanceWarning, ValidityError, phase_grid, transmission
+from abring import ConfigError, OffResonanceWarning, ValidityError, transmission
 from abring.config import load_config, parse_config
+from abring.transport import phase_grid
 
 PLAIN_NUMBER_TEXT = st.floats(0.0, 1.0).map(repr) | st.integers(4, 2000).map(str)
 WILD_NUMBER_TEXT = st.one_of(

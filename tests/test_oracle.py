@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from abring import (
-    ResolventModel,
-    RingParams,
-    amplitude_t0,
-    amplitude_t1,
-    energy_resolved_transmission,
-    exact_amplitude,
-    second_order_amplitude,
-    truncation_residual,
-)
+from abring import RingParams, energy_resolved_transmission, exact_amplitude, truncation_residual
+from abring.oracle import ResolventModel, second_order_amplitude
+from abring.ring import amplitude_t0, amplitude_t1
 from test_ring import random_valid_ring
 
 # Frozen with this model's wide-band lead propagators at the reference point.
@@ -30,13 +23,17 @@ class TestCalibration:
         assert worst < 1e-12
 
     def test_normalization_constant(self, ref_ring):
-        model = ResolventModel.from_ring(ref_ring, 0.3)
+        model = ResolventModel(ref_ring, 0.3)
         assert_allclose(model.norm_const, 2j / (np.pi * ref_ring.rho), rtol=1e-15)
-        assert_allclose(model.g_lead, -1j * np.pi * ref_ring.rho, rtol=1e-15)
 
-    def test_hop_matrix_is_hermitian(self, ref_ring):
-        model = ResolventModel.from_ring(ref_ring, 1.234)
-        assert_allclose(model.hop_matrix, model.hop_matrix.conj().T, atol=1e-15)
+    def test_inverse_propagator_entries(self, ref_ring):
+        # g^{-1} - H at E = 0: lead entries 1/g_lead, dot entry -eps_d,
+        # and a Hermitian hop part off the diagonal.
+        a = ResolventModel(ref_ring, 1.234)._inverse_propagator(0.0)
+        hops = a - np.diag(np.diag(a))
+        assert_allclose(hops, hops.conj().T, atol=1e-15)
+        assert_allclose(np.diag(a)[:2], 1.0 / (-1j * np.pi * ref_ring.rho), rtol=1e-15)
+        assert a[2, 2] == -ref_ring.eps_d
 
 
 class TestSecondOrder:
@@ -108,7 +105,7 @@ class TestExactAmplitude:
 
     def test_vectorized_energies_match_scalars(self, ref_ring):
         energies = np.linspace(-0.5, 0.5, 9)
-        batch = ResolventModel.from_ring(ref_ring, 0.8).amplitude(energies)
+        batch = ResolventModel(ref_ring, 0.8).amplitude(energies)
         for e, b in zip(energies, batch):
             assert_allclose(b, exact_amplitude(ref_ring, 0.8, float(e)), rtol=1e-14)
 

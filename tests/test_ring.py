@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from abring import (
-    OffResonanceWarning,
-    RingParams,
-    ValidityError,
-    amplitude_t0,
-    amplitude_t1,
-    diagram_components,
-)
+from abring import OffResonanceWarning, RingParams, ValidityError
+from abring.ring import amplitude_t0, amplitude_t1, diagram_components
 
 
 def random_valid_ring(rng):

@@ -5,19 +5,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from abring import (
-    TwoParticleSMatrix,
     ValidityError,
-    factorized_s,
-    random_symmetric_unitary,
-    random_unitary,
     reciprocal_from_generator,
-    reciprocal_ring_family,
     rigidity_report,
     seeded_generator,
     symmetric_phi_grid,
     transmission_from_s,
 )
-from abring.smatrix import factorized_family, generic_family
+from abring import smatrix
+from abring.smatrix import (
+    TwoParticleSMatrix,
+    factorized_family,
+    factorized_s,
+    generic_family,
+    random_symmetric_unitary,
+    random_unitary,
+    reciprocal_ring_family,
+)
 
 GRID = symmetric_phi_grid(64)
 
@@ -261,19 +265,20 @@ def _bump(phi):
 class TestFailureNamesWorstPhase:
     PHIS = np.array([-2.0, 0.5, 2.5, -1.0])
 
+    # Unitarity is checked on S itself, so every route names S(phi).
     def test_generator(self):
         s = reciprocal_from_generator(lambda phi: np.eye(4) * _bump(phi))
-        with pytest.raises(ValueError, match=r"U\(phi\) is not unitary at phi=0\.5 "):
+        with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
             s.at(self.PHIS)
 
     def test_ring(self):
         s = factorized_s(lambda phi: np.eye(2) * _bump(phi), random_symmetric_unitary(8))
-        with pytest.raises(ValueError, match=r"ring scattering matrix is not unitary at phi=0\.5 "):
+        with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
             s.at(self.PHIS)
 
     def test_validate_unitarity(self):
         s = TwoParticleSMatrix(lambda phi: np.eye(4) * _bump(phi))
-        with pytest.raises(ValidityError, match=r"unitarity broken at phi=0\.5 "):
+        with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
             s.validate(self.PHIS)
 
     def test_validate_reciprocity(self):
@@ -281,3 +286,33 @@ class TestFailureNamesWorstPhase:
         s = TwoParticleSMatrix(lambda phi: np.eye(4) * np.exp(1j * phi)[..., None, None])
         with pytest.raises(ValidityError, match=r"reciprocity broken at phi=-2\.0 "):
             s.validate(self.PHIS)
+
+
+class TestUnitarityBoundary:
+    """S is checked once per evaluated stack, and nothing else is checked per phase."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: generic_family(5), lambda: factorized_family(6, 7)],
+        ids=["generic", "factorized"],
+    )
+    def test_one_check_per_stack_on_s(self, build, monkeypatch):
+        s = build()  # the factorized detector is checked here, once
+        checked = []
+        original = smatrix._unitarity_defect
+        monkeypatch.setattr(
+            smatrix, "_unitarity_defect", lambda m: checked.append(m.shape) or original(m)
+        )
+        s.at(GRID)
+        assert checked == [(GRID.size, 4, 4)]
+
+    def test_non_unitary_generator_with_unitary_s_is_accepted(self):
+        # U(phi) = exp(0.3 sin phi) U0(phi) is not unitary, but the factor
+        # cancels in U(phi) U(-phi)^T, so S is the unitary generic family.
+        u0 = seeded_generator(4)
+
+        def u(phi):
+            return np.exp(0.3 * np.sin(phi))[..., None, None] * u0(phi)
+
+        s = reciprocal_from_generator(u)
+        assert_allclose(s.at(GRID), generic_family(4).at(GRID), atol=1e-14)

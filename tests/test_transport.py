@@ -7,19 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from abring import (
-    PhaseSweep,
     RingParams,
     ThermalConfig,
     ValidityError,
-    amplitude_t0,
-    amplitude_t1,
-    dot_arm_rms,
-    double_slit_visibility,
     energy_resolved_transmission,
     exact_amplitude,
-    phase_grid,
-    rigidity_asymmetry,
-    sweep_lambda,
     sweep_phase,
     symmetric_phi_grid,
     thermal_transmission,
@@ -27,6 +19,15 @@ from abring import (
     visibility,
 )
 from abring import transport
+from abring.ring import amplitude_t0, amplitude_t1
+from abring.transport import (
+    PhaseSweep,
+    dot_arm_rms,
+    double_slit_visibility,
+    phase_grid,
+    rigidity_asymmetry,
+    sweep_lambda,
+)
 from test_ring import random_valid_ring
 
 # Frozen reference values at x = 0.4, |V| = 0.75, eps_d = 1.25 (exact fractions).
@@ -239,8 +240,8 @@ class TestVisibility:
 
 class TestSweepLambda:
     def test_nondecreasing_in_overlap(self, ref_ring):
-        pairs = sweep_lambda(ref_ring, [0.0, 0.25, 0.5, 0.75, 1.0], 720)
-        values = [v for _, v in pairs]
+        rows = sweep_lambda(ref_ring, [0.0, 0.25, 0.5, 0.75, 1.0], 720)
+        values = [v for _, v, _ in rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_endpoints_match_direct_sweeps(self, ref_ring):
@@ -262,10 +263,13 @@ class TestSweepLambda:
 
     def test_equals_visibility_of_each_transmission(self, rng):
         lambdas = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
-        for _ in range(20):
-            p = random_valid_ring(rng)
+        # rho = 0.2 pushes about half of each row above 1.
+        for p in [random_valid_ring(rng) for _ in range(20)] + [RingParams(rho=0.2)]:
             phis = phase_grid(128)
-            old_route = [(lam, visibility(transmission(p, lam, phis))) for lam in lambdas]
+            old_route = []
+            for lam in lambdas:
+                t = transmission(p, lam, phis)
+                old_route.append((lam, visibility(t), int(np.sum((t < 0.0) | (t > 1.0)))))
             assert sweep_lambda(p, lambdas, 128) == old_route
 
     def test_memory_does_not_grow_with_overlaps(self, ref_ring):

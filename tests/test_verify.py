@@ -1,10 +1,10 @@
 """The bundled cross-validation suites."""
 
-from abring import run_all
 from abring.verify import (
     calibration_suite,
     diagram_sum_suite,
     rigidity_suite,
+    run_all,
     second_order_suite,
     truncation_suite,
 )
