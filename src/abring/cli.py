@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Iterable, Sequence
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, ValidityError
+from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
 from .smatrix import factorized_family, generic_family, rigidity_report, symmetric_phi_grid
 from .svgplot import write_line_plot
@@ -172,7 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", OffResonanceWarning)
+            cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         return args.func(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -72,13 +72,11 @@ def _unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.max(np.abs(_transpose(m.conj()) @ m - eye), axis=(-2, -1))
 
 
-def _check_defect(
-    defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float
-) -> None:
-    """Raise ``ValidityError`` naming the worst defect, and its phase, if any exceeds tol."""
+def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float) -> None:
+    """Raise ``ValidityError`` naming the worst defect, and its phase, unless all are <= tol."""
     if phi is not None:
         phi, defect = np.broadcast_arrays(phi, defect)
-    if np.any(defect > tol):
+    if not np.all(defect <= tol):
         k = np.argmax(defect)
         at = "" if phi is None else f" at phi={float(phi.flat[k])!r}"
         raise ValidityError(f"{what}{at} (defect {defect.flat[k]:.3e})")
@@ -197,8 +195,7 @@ def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSM
     """
     det = np.asarray(det_s, dtype=complex)
     _require_unitary(det, "detector scattering matrix")
-    if np.max(np.abs(det - det.T)) > UNITARITY_TOL:
-        raise ValueError("phase-independent detector matrix must be symmetric")
+    _check_defect(np.abs(det - det.T), None, "detector matrix is not symmetric", UNITARITY_TOL)
 
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         return _kron(np.asarray(ring_s(phi), dtype=complex), det)

@@ -125,9 +125,9 @@ class TestVerify:
 
     def test_seed_override_changes_report(self, capsys):
         assert main(["verify", "--seed", "777"]) == 0
-        first = capsys.readouterr().out
-        assert main(["verify", "--seed", "777"]) == 0
-        assert capsys.readouterr().out == first
+        seeded = capsys.readouterr().out
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out != seeded
 
     def test_suite_failure_gives_verify_exit_code(self, monkeypatch, capsys):
         from abring.verify import SuiteResult
@@ -170,6 +170,16 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_off_resonance_warning_is_one_plain_line(self, tmp_path, capsys):
+        cfg = tmp_path / "warm.cfg"
+        cfg.write_text("ring.v_mag = 1.2\nsweep.lambda_list = 1\n", encoding="utf-8")
+        assert main(["sweep-lambda", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: Gamma/|eps_d| = 0.3972 > 0.25: single-visit truncation error "
+            "grows quadratically in this ratio\n"
+            "warning: 411 transmission values outside [0, 1] for lambda=1\n"
+        )
 
     def test_guard_violation_is_validity_error(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"

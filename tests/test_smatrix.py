@@ -111,8 +111,13 @@ class TestFactorized:
     def test_rejects_asymmetric_detector(self):
         # A phase-independent scatterer must be symmetric to be reciprocal.
         asym = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
+        match = r"^detector matrix is not symmetric \(defect 2\.000e\+00\)$"
+        with pytest.raises(ValidityError, match=match):
             factorized_s(reciprocal_ring_family(0), asym)
+
+    def test_rejects_nan_detector(self):
+        with pytest.raises(ValidityError, match=r"detector scattering matrix is not unitary"):
+            factorized_s(reciprocal_ring_family(0), np.full((2, 2), np.nan))
 
     def test_rejects_non_unitary_ring(self):
         s = factorized_s(lambda phi: np.eye(2) * 0.99, random_symmetric_unitary(8))
@@ -286,6 +291,27 @@ class TestFailureNamesWorstPhase:
         s = TwoParticleSMatrix(lambda phi: np.eye(4) * np.exp(1j * phi)[..., None, None])
         with pytest.raises(ValidityError, match=r"reciprocity broken at phi=-2\.0 "):
             s.validate(self.PHIS)
+
+
+class TestNanIsRejected:
+    """A NaN defect fails every check and is named as the worst."""
+
+    NAN_FAMILY = staticmethod(lambda phi: np.full(np.shape(phi) + (4, 4), np.nan))
+
+    def test_at_scalar_phase(self):
+        s = TwoParticleSMatrix(self.NAN_FAMILY)
+        with pytest.raises(ValidityError, match=r"not unitary at phi=0\.3 \(defect nan\)"):
+            s.at(0.3)
+
+    def test_validate(self):
+        s = TwoParticleSMatrix(self.NAN_FAMILY)
+        with pytest.raises(ValidityError, match=r"\(defect nan\)"):
+            s.validate(GRID)
+
+    def test_defect_check_names_the_nan_phase(self):
+        defect, phis = np.array([0.0, np.nan, 0.0]), np.array([0.5, -1.0, 2.0])
+        with pytest.raises(ValidityError, match=r"^broken at phi=-1\.0 \(defect nan\)$"):
+            smatrix._check_defect(defect, phis, "broken", 1e-12)
 
 
 class TestUnitarityBoundary:
