@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
-from .smatrix import factorized_family, generic_family, rigidity_report, symmetric_phi_grid
+from .smatrix import factorized_family, generic_family, rigidity_report
 from .svgplot import write_line_plot
 from .transport import double_slit_visibility, dot_arm_rms, sweep_lambda, sweep_phase
 from .verify import run_all
@@ -29,8 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDITY = 3
 EXIT_VERIFY = 4
-
-RIGIDITY_GRID_POINTS = 64
 
 
 def _fmt(value: float) -> str:
@@ -119,14 +117,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_rigidity(cfg: RunConfig) -> int:
     """Tabulate the rigidity identity for a factorized and a generic family."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    grid = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
     cases = [
         ("rigidity_factorized.csv", factorized_family(cfg.seed + 1, cfg.seed + 2)),
         ("rigidity_generic.csv", generic_family(cfg.seed)),
     ]
     header = ["phi", "T_pos", "T_neg", "s12sq_minus_s21sq", "identity_residual"]
     for filename, family in cases:
-        report = rigidity_report(family, grid)
+        report = rigidity_report(family)
         path = os.path.join(cfg.out_dir, filename)
         _write_csv(
             path,
@@ -164,8 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in commands:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", default=None, help="config file path")
-        sp.add_argument("--out", metavar="DIR", default=None, help="output directory override")
-        sp.add_argument("--seed", metavar="INT", type=int, default=None, help="seed override")
+        if func is not cmd_verify:  # verify writes no files
+            sp.add_argument("--out", metavar="DIR", default=None, help="output directory override")
+        if func in (cmd_verify, cmd_rigidity):  # the sweeps draw no seed
+            sp.add_argument("--seed", metavar="INT", type=int, default=None, help="seed override")
         sp.set_defaults(func=func)
     return parser
 
@@ -175,7 +174,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OffResonanceWarning)
-            cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+            cfg = load_config(args.config, out_dir=vars(args).get("out"), seed=vars(args).get("seed"))
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         return args.func(cfg)

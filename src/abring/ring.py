@@ -22,6 +22,7 @@ The amplitude functions accept a scalar phase or an array of phases.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -94,11 +95,15 @@ class RingParams:
                     "close to resonance for the single-visit amplitudes"
                 )
             if ratio > GUARD_WARN:
+                # Name the caller, past from_x and the dataclass __init__ (both in this module).
+                frame, level = sys._getframe(1), 2
+                while frame.f_globals is globals():
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"Gamma/|eps_d| = {ratio:.4g} > {GUARD_WARN}: single-visit "
                     "truncation error grows quadratically in this ratio",
                     OffResonanceWarning,
-                    stacklevel=2,
+                    stacklevel=level,
                 )
 
     @classmethod

@@ -19,7 +19,8 @@ Generic families are produced as ``S(phi) = U(phi) U(-phi)^T`` from a
 seeded unitary generator family, which enforces both constraints by
 construction while leaving rigidity free to break.  ``generic_family``
 and ``factorized_family`` build the two seeded kinds that the rigidity
-command and the verification suite tabulate.
+command and the verification suite tabulate with ``rigidity_report`` on
+its one grid, ``symmetric_phi_grid(RIGIDITY_GRID_POINTS)``.
 
 Family callables are evaluated over a whole phase grid at once: a family
 takes a float array of phases of any shape ``(...)`` (a 0-d array for a
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
+RIGIDITY_GRID_POINTS = 64
 
 # A family maps a phase array of shape (...) to a (..., d, d) matrix stack.
 Family = Callable[[NDArray[np.float64]], NDArray[np.complex128]]
@@ -115,16 +117,16 @@ def random_unitary(rng: np.random.Generator, dim: int) -> NDArray[np.complex128]
     return q * (d / np.abs(d)).conj()
 
 
-def seeded_generator(seed: int, dim: int = 4, max_winding: int = 2) -> Family:
+def seeded_generator(seed: int, dim: int = 4) -> Family:
     """Deterministic 2 pi periodic unitary family U(phi).
 
     Built as Q0 diag(exp(i n_k phi)) Q1 with seeded unitaries and integer
-    winding numbers, so every evaluation is unitary to machine precision.
+    windings n_k in [-2, 2], so every evaluation is unitary to machine precision.
     """
     rng = np.random.default_rng(seed)
     q0 = random_unitary(rng, dim)
     q1 = random_unitary(rng, dim)
-    windings = rng.integers(-max_winding, max_winding + 1, size=dim)
+    windings = rng.integers(-2, 3, size=dim)
 
     def u_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
         phase = np.exp(1j * windings * np.asarray(phi, dtype=float)[..., None])
@@ -151,12 +153,12 @@ class TwoParticleSMatrix:
         _require_unitary(m, "scattering matrix S(phi)", phi)
         return m
 
-    def validate(self, phis: ArrayLike, atol: float = UNITARITY_TOL) -> None:
-        """Check reciprocity to ``atol`` on a sample of phases; ``at`` checks unitarity."""
+    def validate(self, phis: ArrayLike) -> None:
+        """Check reciprocity on a sample of phases; ``at`` checks unitarity."""
         phis = np.asarray(phis, dtype=float)
         m = self.at(phis)
         recip = np.max(np.abs(m - _transpose(self.at(-phis))), axis=(-2, -1))
-        _check_defect(recip, phis, "reciprocity broken", atol)
+        _check_defect(recip, phis, "reciprocity broken", UNITARITY_TOL)
 
 
 def _reciprocal(u_of_phi: Family) -> Family:
@@ -180,9 +182,9 @@ def reciprocal_ring_family(seed: int) -> Family:
     return _reciprocal(seeded_generator(seed, dim=2))
 
 
-def random_symmetric_unitary(seed: int, dim: int = 2) -> NDArray[np.complex128]:
-    """Seeded symmetric unitary, the reciprocal form of a flux-free scatterer."""
-    q = random_unitary(np.random.default_rng(seed), dim)
+def random_symmetric_unitary(seed: int) -> NDArray[np.complex128]:
+    """Seeded symmetric 2x2 unitary, the reciprocal form of a flux-free scatterer."""
+    q = random_unitary(np.random.default_rng(seed), 2)
     return q.T @ q
 
 
@@ -227,7 +229,7 @@ def transmission_from_s(s: TwoParticleSMatrix, phi: ArrayLike) -> float | NDArra
 
 
 def symmetric_phi_grid(n_points: int) -> NDArray[np.float64]:
-    """n phases placed symmetrically about 0, with exact negation pairs."""
+    """Phases ``pi (2k + 1 - n) / n``: reversed, the grid is its exact negation."""
     if n_points < 2:
         raise ValidityError(f"need at least 2 grid points, got {n_points}")
     k = np.arange(n_points)
@@ -253,23 +255,16 @@ class RigidityReport:
         return float(np.max(np.abs(self.identity_residual)))
 
 
-def rigidity_report(s: TwoParticleSMatrix, phi_grid: ArrayLike) -> RigidityReport:
-    """Tabulate T(phi) - T(-phi) against |S_12|^2 - |S_21|^2 on a grid.
+def rigidity_report(s: TwoParticleSMatrix) -> RigidityReport:
+    """Tabulate T(phi) - T(-phi) against |S_12|^2 - |S_21|^2 on the rigidity grid.
 
-    The grid must be symmetric about 0 so each phase has its exact mirror.
+    The grid is ``symmetric_phi_grid(RIGIDITY_GRID_POINTS)``, so ``T(-phi)``
+    is ``T(phi)`` reversed.
     """
-    phis = np.asarray(phi_grid, dtype=float)
+    phis = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
     mats = s.at(phis)
-    # Mirror of each phase: its first occurrence in a stable sort.
-    order = np.argsort(phis, kind="stable")
-    ranked = phis[order]
-    pos = np.minimum(np.searchsorted(ranked, -phis), phis.size - 1)
-    missing = ranked[pos] != -phis
-    if np.any(missing):
-        p = phis[np.argmax(missing)]
-        raise ValidityError(f"phase grid is not symmetric about 0: no mirror for {p!r}")
     t_all = _transmission(mats)
-    t_neg = t_all[order[pos]]
+    t_neg = t_all[::-1]
     s12_minus_s21 = _abs2(mats[..., 0, 1]) - _abs2(mats[..., 1, 0])
     return RigidityReport(
         phis=phis,

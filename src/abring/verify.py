@@ -17,7 +17,7 @@ import numpy as np
 
 from .oracle import exact_amplitude, second_order_amplitude, truncation_residual
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
-from .smatrix import factorized_family, generic_family, rigidity_report, symmetric_phi_grid
+from .smatrix import factorized_family, generic_family, rigidity_report
 
 __all__ = ["SuiteResult", "run_all"]
 
@@ -93,12 +93,14 @@ def second_order_suite(seed: int, n_draws: int = 100) -> SuiteResult:
     return _report("oracle-second-order", "max rel |A2 - t1|", gaps, SECOND_ORDER_RTOL)
 
 
-def truncation_suite(params: RingParams, phi: float = 0.0) -> SuiteResult:
-    """Truncation error must shrink quadratically as the dot level recedes."""
-    r1 = truncation_residual(params, phi)
-    r2 = truncation_residual(replace(params, eps_d=2.0 * params.eps_d), phi)
-    r4 = truncation_residual(replace(params, eps_d=4.0 * params.eps_d), phi)
-    ratio4, ratio2 = r1 / r4, r1 / r2
+def truncation_suite(params: RingParams) -> SuiteResult:
+    """Truncation error at phi = 0 must shrink quadratically as the dot level recedes."""
+    r1 = truncation_residual(params, 0.0)
+    r2 = truncation_residual(replace(params, eps_d=2.0 * params.eps_d), 0.0)
+    r4 = truncation_residual(replace(params, eps_d=4.0 * params.eps_d), 0.0)
+    # At |V| = 0 the residuals are 0 or rounding noise: the ratios are noise, inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio4, ratio2 = np.divide(r1, [r4, r2]).tolist()
     passed = SCALING_4X[0] <= ratio4 <= SCALING_4X[1] and SCALING_2X[0] <= ratio2 <= SCALING_2X[1]
     detail = (
         f"residual {r1:.6e}; eps_d x4 ratio {ratio4:.4f} in {SCALING_4X}, "
@@ -121,14 +123,11 @@ def diagram_sum_suite(seed: int, n_draws: int = 1000) -> SuiteResult:
     return _report("diagram-sum", "max |sum - t1| / sum |c|", gaps, DIAGRAM_RTOL)
 
 
-def rigidity_suite(
-    seed: int, n_families: int = 1000, n_factorized: int = 100, grid_points: int = 64
-) -> SuiteResult:
+def rigidity_suite(seed: int, n_families: int = 1000, n_factorized: int = 100) -> SuiteResult:
     """Theorem identity, factorized rigidity, and generic rigidity breaking."""
-    grid = symmetric_phi_grid(grid_points)
 
     def maxima(families: Iterable) -> np.ndarray:
-        reports = (rigidity_report(family, grid) for family in families)
+        reports = (rigidity_report(family) for family in families)
         pairs = ((r.max_identity_residual, r.max_asymmetry) for r in reports)
         return np.fromiter(pairs, np.dtype((float, 2)))
 

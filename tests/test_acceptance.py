@@ -124,7 +124,7 @@ def test_criterion_07_diagram_sum():
 
 def test_criterion_08_rigidity_theorem():
     start = time.perf_counter()
-    suite = rigidity_suite(seed=17, n_families=1000, n_factorized=100, grid_points=64)
+    suite = rigidity_suite(seed=17, n_families=1000, n_factorized=100)
     elapsed = time.perf_counter() - start
     _report(8, "rigidity theorem suite", suite.passed and elapsed < 10.0,
             f"{suite.detail}, {elapsed:.2f}s")

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: files, determinism, and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from abring import RingParams, sweep_phase
-from abring.cli import main
+from abring.cli import build_parser, main
 
 SWEEP_MIN = 342961.0 / 707281.0
 SWEEP_MAX = 530881.0 / 707281.0
@@ -129,6 +131,20 @@ class TestVerify:
         assert main(["verify"]) == 0
         assert capsys.readouterr().out != seeded
 
+    def test_decoupled_dot_fails_truncation_scaling_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "decoupled.cfg"
+        cfg.write_text("ring.x = 0.06973244147157191\nring.v_mag = 0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["verify", "--config", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert (
+            "[FAIL] truncation-scaling: residual 0.000000e+00; "
+            "eps_d x4 ratio nan in (12.0, 20.0), x2 ratio nan in (3.4, 4.6)\n"
+        ) in out
+        assert "verification: 4/5 suites passed" in out
+
     def test_suite_failure_gives_verify_exit_code(self, monkeypatch, capsys):
         from abring.verify import SuiteResult
         import abring.cli as cli_mod
@@ -159,6 +175,35 @@ class TestRigidity:
         main(["rigidity", "--out", str(out_b), "--seed", "31"])
         for name in ("rigidity_factorized.csv", "rigidity_generic.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestFlags:
+    """Each command takes only the overrides it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--out", "o"],
+            ["sweep-phase", "--seed", "7", "--out", "o"],
+            ["sweep-lambda", "--seed", "7", "--out", "o"],
+        ],
+        ids=["verify-out", "sweep-phase-seed", "sweep-lambda-seed"],
+    )
+    def test_unread_flag_is_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_read_flags_still_parse(self, tmp_path):
+        assert main(["rigidity", "--seed", "31", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rigidity_generic.csv").exists()
+        args = build_parser().parse_args(["verify", "--seed", "777"])
+        assert args.seed == 777
 
 
 class TestExitCodes:

@@ -4,6 +4,9 @@ Expected numbers are frozen from exact fractions (x = 2/5 makes every
 reference quantity rational or a square root of a rational).
 """
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -66,6 +69,19 @@ class TestRingParams:
         # guard can be explicitly disabled
         p = RingParams.from_x(0.4, 2.0, 1.25, validate_off_resonance=False)
         assert p.gamma / abs(p.eps_d) > 0.5
+
+    def test_off_resonance_warning_names_the_calling_line(self):
+        # Under the default filter a warning shows once per location, so each
+        # constructor must report its caller's line, not a shared internal one.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            line = inspect.currentframe().f_lineno
+            RingParams(v_mag=1.2)
+            RingParams.from_x(0.4, 1.2, 1.25)
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (OffResonanceWarning, __file__, line + 1),
+            (OffResonanceWarning, __file__, line + 2),
+        ]
 
     def test_from_x_roundtrip(self, rng):
         for _ in range(100):

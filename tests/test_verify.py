@@ -1,12 +1,13 @@
 """The bundled cross-validation suites."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from abring import smatrix, verify
-from abring.ring import DiagramComponents, diagram_components
+from abring.ring import DiagramComponents, RingParams, diagram_components
 from abring.verify import (
     calibration_suite,
     diagram_sum_suite,
@@ -46,11 +47,23 @@ def test_individual_suites_quick_variants(ref_ring):
     assert rigidity_suite(6, n_families=20, n_factorized=10).passed
 
 
+def test_truncation_scaling_fails_without_error_when_dot_is_decoupled():
+    # At |V| = 0 all three residuals are exactly 0 at this x.
+    params = RingParams.from_x(0.06973244147157191, 0.0, 1.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = truncation_suite(params)
+    assert result.passed is False
+    assert result.detail == (
+        "residual 0.000000e+00; eps_d x4 ratio nan in (12.0, 20.0), x2 ratio nan in (3.4, 4.6)"
+    )
+
+
 NAN = complex(np.nan, np.nan)
 
 
-def _nan_identity_residual(family, grid):
-    report = smatrix.rigidity_report(family, grid)
+def _nan_identity_residual(family):
+    report = smatrix.rigidity_report(family)
     return replace(report, identity_residual=np.full_like(report.identity_residual, np.nan))
 
 
