@@ -13,7 +13,10 @@ import argparse
 import os
 import sys
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
@@ -35,11 +38,18 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[ArrayLike]) -> None:
+    """Write equal-length columns as rows of ``%.17g`` values.
+
+    ``%`` on a Python float is the same shortest-repr routine as ``_fmt``,
+    so each value is written as ``_fmt`` would write it.  Rows are streamed:
+    the file is never held as one string.
+    """
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(row.__mod__, zip(*cols)))
 
 
 def _warn_out_of_range(lam: float, bad: int) -> None:
@@ -56,7 +66,7 @@ def cmd_sweep_phase(cfg: RunConfig) -> int:
         _warn_out_of_range(lam, bad)
     csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
     header = ["phi"] + [f"T_lambda={_fmt(lam)}" for lam in cfg.lambda_list]
-    _write_csv(csv_path, header, zip(sweep.phis, *sweep.values))
+    _write_csv(csv_path, header, [sweep.phis, *sweep.values])
     svg_path = os.path.join(cfg.out_dir, "phase_sweep.svg")
     write_line_plot(
         svg_path,
@@ -78,21 +88,23 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     arm_a = float(abs(amplitude_t0(cfg.ring, 0.0)))
     arm_b = dot_arm_rms(cfg.ring)
-    rows = []
+    lams, closed, slit = [], [], []
     for lam, vis, bad in sweep_lambda(cfg.ring, cfg.lambda_list, cfg.n_phi):
         _warn_out_of_range(lam, bad)
-        rows.append((lam, vis, double_slit_visibility(arm_a, arm_b, lam)))
+        lams.append(lam)
+        closed.append(vis)
+        slit.append(double_slit_visibility(arm_a, arm_b, lam))
     csv_path = os.path.join(cfg.out_dir, "visibility.csv")
     _write_csv(
         csv_path,
         ["lambda", "visibility_closed_loop", "visibility_double_slit"],
-        rows,
+        [lams, closed, slit],
     )
     svg_path = os.path.join(cfg.out_dir, "visibility.svg")
     write_line_plot(
         svg_path,
-        [r[0] for r in rows],
-        [[r[1] for r in rows], [r[2] for r in rows]],
+        lams,
+        [closed, slit],
         ["closed loop", "double slit"],
         title="Visibility vs detector overlap",
         xlabel="lambda",
@@ -128,13 +140,13 @@ def cmd_rigidity(cfg: RunConfig) -> int:
         _write_csv(
             path,
             header,
-            zip(
+            [
                 report.phis,
                 report.t_pos,
                 report.t_neg,
                 report.s12sq_minus_s21sq,
                 report.identity_residual,
-            ),
+            ],
         )
         print(
             f"wrote {path}: max asymmetry = {report.max_asymmetry:.6e}, "

@@ -44,6 +44,11 @@ GUARD_WARN = 0.25
 GUARD_ERROR = 0.5
 
 
+def _is_normal(value: float) -> bool:
+    """True for a finite float of normal magnitude (not zero, subnormal, inf or nan)."""
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Interferometer parameters in units of the direct hop ``|W|``.
@@ -80,13 +85,17 @@ class RingParams:
             if not (math.isfinite(value) and in_range):
                 raise ValidityError(f"{name} must be finite and {requirement}, got {value}")
         x = self.x
+        x2 = x * x
         try:
             ratio = self.gamma / abs(self.eps_d)
         except OverflowError:  # float ** 2 raises where float * float gives inf
             ratio = math.inf
-        if not (x > 0 and math.isfinite(x) and math.isfinite(1.0 / x) and math.isfinite(ratio)):
+        # x^2 and 1/x^2 enter t0, t1 and dot_arm_rms; a subnormal or zero x^2
+        # turns them into inf, nan or all zeros.
+        if not (x > 0 and _is_normal(x2) and _is_normal(1.0 / x2) and math.isfinite(ratio)):
             raise ValidityError(
-                f"parameters leave the float range: x = pi rho |W| = {x}, Gamma/|eps_d| = {ratio}"
+                f"parameters leave the float range: x = pi rho |W| = {x} (x^2 = {x2}), "
+                f"Gamma/|eps_d| = {ratio}"
             )
         if self.validate_off_resonance:
             if ratio >= GUARD_ERROR:

@@ -3,6 +3,14 @@
 Hand-rolled polylines instead of a plotting library so repeated runs with
 the same inputs produce byte-identical files.  CSV output remains the
 artifact of record; these plots are a quick visual check only.
+
+Polyline coordinates are computed on whole arrays and formatted ``%.2f``.
+The array expressions must keep the scalar operation order,
+``MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w``: elementwise IEEE
+``+ - * /`` then gives the same doubles as the per-point scalar form, and
+the file stays bit-identical to it.  Reordering or folding the operations
+(say, precomputing ``inner_w / (x_hi - x_lo)``) can move a coordinate by
+one ulp, which changes a printed digit when it sits on a decimal tie.
 """
 
 from __future__ import annotations
@@ -50,10 +58,10 @@ def write_line_plot(
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(v: float) -> float:
+    def px(v: np.ndarray | float) -> np.ndarray | float:
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * inner_w
 
-    def py(v: float) -> float:
+    def py(v: np.ndarray | float) -> np.ndarray | float:
         return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * inner_h
 
     out = [
@@ -97,9 +105,10 @@ def write_line_plot(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>'
     )
+    x_px = px(x)  # converted per series: a list held across them costs more peak memory
     for i, (y, label) in enumerate(zip(ys, labels)):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(x_px.tolist(), py(y).tolist())))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

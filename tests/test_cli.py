@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: files, determinism, and exit codes."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from abring import RingParams, sweep_phase
-from abring.cli import build_parser, main
+from abring.cli import _write_csv, build_parser, main
 
 SWEEP_MIN = 342961.0 / 707281.0
 SWEEP_MAX = 530881.0 / 707281.0
@@ -20,6 +22,38 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
     return header, data
+
+
+class TestWriteCsv:
+    ADVERSARIAL = [
+        -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1.0 / 3.0,
+        2.0**53 + 2.0, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    ]
+
+    def test_bytes_equal_per_value_fstrings(self, tmp_path):
+        values = self.ADVERSARIAL
+        columns = [values, np.array(values), [np.float64(v) for v in reversed(values)]]
+        path = tmp_path / "a.csv"
+        _write_csv(str(path), ["a", "b", "c"], columns)
+        lines = [",".join(f"{float(v):.17g}" for v in row) + "\n" for row in zip(*columns)]
+        expected = "a,b,c\n" + "".join(lines)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_rows_are_streamed(self, tmp_path):
+        columns = list(np.random.default_rng(5).normal(size=(4, 20_000)))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            [col.tolist() for col in columns]  # the one copy the writer needs
+            _, converted = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _write_csv(str(path), ["a", "b", "c", "d"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Holding the file as one string, or its rows as one list, costs
+        # more than the whole file again.
+        assert peak - converted < path.stat().st_size / 4
 
 
 class TestSweepPhase:
@@ -244,6 +278,8 @@ class TestExitCodes:
             ("ring.w_mag = inf", "w_mag"),
             ("ring.rho = nan", "rho"),
             ("sweep.lambda_list = 0, nan", "sweep.lambda_list"),
+            ("ring.x = 1e-155", "parameters"),  # x*x subnormal: dot_arm_rms overflows
+            ("ring.x = 1e-170", "parameters"),  # x*x == 0
         ],
     )
     def test_non_finite_value_is_validity_error(self, tmp_path, capsys, line, field):

@@ -11,13 +11,15 @@ from numpy.testing import assert_allclose
 
 from abring import ConfigError, OffResonanceWarning, ValidityError, transmission
 from abring.config import load_config, parse_config
-from abring.transport import phase_grid
+from abring.transport import dot_arm_rms, phase_grid
 
 PLAIN_NUMBER_TEXT = st.floats(0.0, 1.0).map(repr) | st.integers(4, 2000).map(str)
 WILD_NUMBER_TEXT = st.one_of(
     st.floats().map(repr),  # includes nan, +-inf, subnormals and huge values
     st.integers(-(10**40), 10**40).map(str),
-    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-320"]),
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-320", "1e-155", "1e-170"]
+    ),
 )
 # One value in three is wild, so that accepted configs stay common.
 NUMBER_TEXT = st.sampled_from([PLAIN_NUMBER_TEXT, PLAIN_NUMBER_TEXT, WILD_NUMBER_TEXT]).flatmap(
@@ -162,7 +164,8 @@ def test_any_config_parses_to_finite_parameters_or_is_rejected(text):
         except (ConfigError, ValidityError):
             return
         ring = cfg.ring
-        for value in (ring.w_mag, ring.v_mag, ring.eps_d, ring.rho, ring.x, ring.gamma):
+        derived = (ring.x, ring.gamma, dot_arm_rms(ring))
+        for value in (ring.w_mag, ring.v_mag, ring.eps_d, ring.rho, *derived):
             assert math.isfinite(value)
         for lam in cfg.lambda_list:
             assert np.all(np.isfinite(transmission(ring, lam, phase_grid(8))))

@@ -1,0 +1,81 @@
+"""SVG line plots: polyline coordinates against the per-point scalar form."""
+
+import inspect
+import re
+
+import numpy as np
+import pytest
+
+from abring.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, write_line_plot
+
+POINTS = re.compile(r'<polyline points="([^"]*)"')
+
+
+def reference_points(x, series):
+    """Polyline ``points`` strings from scalar px/py and f-string formatting."""
+    x = [float(v) for v in x]
+    ys = [[float(v) for v in s] for s in series]
+    x_lo, x_hi = min(x), max(x)
+    y_lo = min(min(s) for s in ys)
+    y_hi = max(max(s) for s in ys)
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    inner_w = WIDTH - MARGIN_L - MARGIN_R
+    inner_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(v):
+        return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * inner_w
+
+    def py(v):
+        return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * inner_h
+
+    return [" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y)) for y in ys]
+
+
+def written_points(tmp_path, x, series):
+    path = tmp_path / "plot.svg"
+    labels = [f"s{i}" for i in range(len(series))]
+    write_line_plot(str(path), x, series, labels, "title", "x", "y")
+    return POINTS.findall(path.read_text(encoding="utf-8"))
+
+
+def _random_series():
+    rng = np.random.default_rng(20240611)
+    x = np.sort(rng.uniform(-3.0, 7.0, 2001))
+    return x, list(rng.normal(0.4, 0.2, (5, x.size)))
+
+
+CASES = {
+    "seeded-random": _random_series(),
+    "phase-grid": (np.arange(720) * (2.0 * np.pi / 720), [np.cos(np.arange(720) * 0.01)]),
+    "constant": (np.linspace(0.0, 1.0, 33), [np.full(33, 0.25), np.full(33, 0.25)]),
+    "single-x": ([0.5], [[0.3], [0.7]]),
+    "negative": (np.linspace(-9.0, -1.0, 50), [-np.linspace(1.0, 3.0, 50) ** 2]),
+    # px = 72 + 39 k / 64 lands exactly on ties such as 72.125, where a
+    # one-ulp change in px moves the printed "%.2f" digit.
+    "binary-ties": (np.arange(1025) / 1024.0, [np.sin(np.arange(1025) / 100.0)]),
+    "wide-range": (
+        np.logspace(-300, 300, 61),
+        [np.logspace(-300, 300, 61), -np.logspace(-12, 12, 61), np.full(61, 5e-324)],
+    ),
+}
+
+
+@pytest.mark.parametrize("x, series", list(CASES.values()), ids=list(CASES))
+def test_polylines_equal_scalar_reference(tmp_path, x, series):
+    assert written_points(tmp_path, x, series) == reference_points(x, series)
+
+
+def test_positional_signature(tmp_path):
+    # The benchmark tracer reads x and series as args[1] and args[2].
+    params = list(inspect.signature(write_line_plot).parameters.values())
+    names = ["path", "x", "series", "labels", "title", "xlabel", "ylabel"]
+    assert [p.name for p in params] == names
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    path = tmp_path / "p.svg"
+    write_line_plot(str(path), [0.0, 1.0], [[0.0, 1.0]], ["a"], "t", "x", "y")
+    assert len(POINTS.findall(path.read_text(encoding="utf-8"))) == 1

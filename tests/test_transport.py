@@ -63,6 +63,11 @@ NAN, INF = float("nan"), float("inf")
             "parameters leave the float range",
             id="x-subnormal",
         ),
+        pytest.param(
+            lambda: RingParams.from_x(1e154, 0.75, 1.25),
+            "parameters leave the float range",
+            id="inverse-x-squared-subnormal",
+        ),
         pytest.param(lambda: ThermalConfig(NAN), "temperature", id="temperature=nan"),
         pytest.param(lambda: ThermalConfig(INF), "temperature", id="temperature=inf"),
         pytest.param(lambda: ThermalConfig(0.01, 128, INF), "energy window", id="energy_window=inf"),
