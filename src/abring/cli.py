@@ -4,7 +4,9 @@ Outputs are deterministic for a fixed config and seed: CSV files carry 17
 significant digits with LF line endings, and the SVG plots are rendered
 by the in-package writer.  Exit codes: 0 success, 2 config error (an
 unreadable or malformed config file, or an output directory that cannot
-be written), 3 validity violation, 4 verification failure.
+be written), 3 validity violation, 4 verification failure, 5 verification
+unresolved (no suite failed, but at least one could not decide at this
+config).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDITY = 3
 EXIT_VERIFY = 4
+EXIT_UNRESOLVED = 5
 
 
 def _fmt(value: float) -> str:
@@ -119,11 +122,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the cross-validation suites; exit 0 only if all pass."""
     results = run_all(cfg.ring, cfg.seed)
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
+        status = "PASS" if result.passed else "FAIL" if result.resolved else "UNRESOLVED"
         print(f"[{status}] {result.name}: {result.detail}")
     n_pass = sum(r.passed for r in results)
-    print(f"verification: {n_pass}/{len(results)} suites passed")
-    return EXIT_OK if n_pass == len(results) else EXIT_VERIFY
+    n_unresolved = sum(not r.resolved for r in results)
+    unresolved = f", {n_unresolved} unresolved" if n_unresolved else ""
+    print(f"verification: {n_pass}/{len(results)} suites passed{unresolved}")
+    if n_pass + n_unresolved < len(results):
+        return EXIT_VERIFY
+    return EXIT_UNRESOLVED if n_unresolved else EXIT_OK
 
 
 def cmd_rigidity(cfg: RunConfig) -> int:

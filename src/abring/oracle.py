@@ -107,8 +107,9 @@ def second_order_amplitude(params: RingParams, phi: float, energy: float = 0.0) 
 def truncation_residual(params: RingParams, phi: float) -> float:
     """Distance between the exact amplitude and the truncated closed forms.
 
-    Scales quadratically in ``Gamma / eps_d``; quadrupling ``eps_d`` cuts
-    it by roughly a factor of 16.
+    It equals ``|t1 q / (1 - q)|`` with ``q = (Gamma/eps_d)(2i + 2x cos phi)``,
+    the sum of every dot visit after the first, so it scales quadratically
+    in ``Gamma / eps_d`` while ``|q|`` is small.
     """
     full = exact_amplitude(params, phi, 0.0)
     return float(abs(full - (amplitude_t0(params, phi) + amplitude_t1(params, phi))))

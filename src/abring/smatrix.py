@@ -29,12 +29,21 @@ that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
 ``TwoParticleSMatrix.at`` checks that S itself is unitary, once per stack,
 and raises ``ValidityError`` naming the phase of the worst defect.
 ``validate`` adds reciprocity; ``factorized_s`` checks its detector once.
+
+One builder serves one family or a stack of them: the seeded builders take
+an int seed or a sequence of seeds.  A sequence of ``n`` seeds adds one
+leading family axis, so family axes lead and phase axes follow: the stack
+at a phase array of shape ``(...)`` is ``(n, ..., d, d)``, and every array
+of ``rigidity_report`` gains the same leading axis.  Each seed keeps its
+own ``default_rng(seed)`` and draw order, so family ``k`` of a stack is
+bit-identical to the family built from seed ``k`` alone; an int seed is
+the same code with no family axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -60,8 +69,11 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 RIGIDITY_GRID_POINTS = 64
 
-# A family maps a phase array of shape (...) to a (..., d, d) matrix stack.
+# A family maps a phase array of shape (...) to a (..., d, d) matrix stack,
+# after the family axes of a family built from a sequence of seeds.
 Family = Callable[[NDArray[np.float64]], NDArray[np.complex128]]
+# An int seed builds one family; a sequence of seeds builds a stack of them.
+Seeds = int | Sequence[int]
 
 
 def _transpose(m: NDArray) -> NDArray:
@@ -99,38 +111,70 @@ def _abs2(z: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _kron(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Kronecker product of a (..., m, n) stack with one (p, q) matrix.
+    """Kronecker product of a (..., m, n) stack with a (..., p, q) stack that broadcasts to it.
 
     The third choice: this broadcast product reproduces np.kron exactly,
     where np.einsum rounds some entries differently.
     """
     m, n = a.shape[-2:]
-    p, q = b.shape
-    return (a[..., :, None, :, None] * b[:, None, :]).reshape(a.shape[:-2] + (m * p, n * q))
+    p, q = b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
+def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> NDArray[np.complex128]:
+    """Complex Gaussian matrices; each draws its real part, then its imaginary part."""
+    x = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _orthonormalize(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Q of ``z = QR`` for each matrix of a stack, phases fixed so diag(R) > 0.
+
+    One stacked ``np.linalg.qr`` gives each matrix the bits of its own call.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., None, :]
+
+
+def _per_seed(seed: Seeds, draw: Callable[[np.random.Generator], tuple]) -> list[NDArray]:
+    """Stack each array of ``draw(default_rng(s))`` over the seeds.
+
+    A sequence of seeds gives each array a leading family axis; an int seed
+    gives none.
+    """
+    seeds = np.asarray(seed, dtype=object)
+    draws = [draw(np.random.default_rng(s)) for s in seeds.flat]
+    return [np.stack(parts).reshape(seeds.shape + parts[0].shape) for parts in zip(*draws)]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> NDArray[np.complex128]:
     """Random unitary from QR orthonormalization of a complex Gaussian."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+    return _orthonormalize(_complex_gaussian(rng, (dim, dim)))
 
 
-def seeded_generator(seed: int, dim: int = 4) -> Family:
-    """Deterministic 2 pi periodic unitary family U(phi).
+def seeded_generator(seed: Seeds, dim: int = 4) -> Family:
+    """Deterministic 2 pi periodic unitary family U(phi), or a stack of them.
 
     Built as Q0 diag(exp(i n_k phi)) Q1 with seeded unitaries and integer
     windings n_k in [-2, 2], so every evaluation is unitary to machine precision.
+    Each seed draws the Gaussian of Q0, that of Q1, then the windings.
     """
-    rng = np.random.default_rng(seed)
-    q0 = random_unitary(rng, dim)
-    q1 = random_unitary(rng, dim)
-    windings = rng.integers(-2, 3, size=dim)
+
+    def draw(rng: np.random.Generator) -> tuple:
+        return _complex_gaussian(rng, (2, dim, dim)), rng.integers(-2, 3, size=dim)
+
+    z, windings = _per_seed(seed, draw)
+    q = _orthonormalize(z)
+    q0, q1 = q[..., 0, :, :], q[..., 1, :, :]
+    lead = windings.shape[:-1]
 
     def u_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
-        phase = np.exp(1j * windings * np.asarray(phi, dtype=float)[..., None])
-        return (q0 * phase[..., None, :]) @ q1
+        phi = np.asarray(phi, dtype=float)
+        axes = lead + (1,) * phi.ndim  # family axes, then room for the phase axes
+        phase = np.exp(1j * windings.reshape(axes + (dim,)) * phi[..., None])
+        return (q0.reshape(axes + (dim, dim)) * phase[..., None, :]) @ q1.reshape(axes + (dim, dim))
 
     return u_of_phi
 
@@ -142,13 +186,17 @@ class TwoParticleSMatrix:
     s_of_phi: Family
 
     def at(self, phi: ArrayLike) -> NDArray[np.complex128]:
-        """Unitary S at a phase or a phase array: shape ``np.shape(phi) + (4, 4)``."""
+        """Unitary S at a phase or a phase array.
+
+        The shape is ``np.shape(phi) + (4, 4)``, after the leading family
+        axes of a family built from a sequence of seeds.
+        """
         phi = np.asarray(phi, dtype=float)
         m = np.asarray(self.s_of_phi(phi), dtype=complex)
-        shape = phi.shape + (4, 4)
+        if m.shape[-2:] != (4, 4):
+            raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")
+        shape = m.shape[: max(m.ndim - 2 - phi.ndim, 0)] + phi.shape + (4, 4)
         if m.shape != shape:
-            if m.shape[-2:] != (4, 4):
-                raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")
             m = np.broadcast_to(m, shape).copy()
         _require_unitary(m, "scattering matrix S(phi)", phi)
         return m
@@ -162,8 +210,15 @@ class TwoParticleSMatrix:
 
 
 def _reciprocal(u_of_phi: Family) -> Family:
-    def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
-        return u_of_phi(phi) @ _transpose(u_of_phi(-phi))
+    def s_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
+        phi = np.asarray(phi, dtype=float)
+        u = u_of_phi(phi)
+        # On phases that reversed are bitwise their negation, such as the
+        # rigidity grid, U(-phi) is U(phi) reversed: one evaluation serves both.
+        mirrored = phi.ndim == 1 and phi[::-1].tobytes() == (-phi).tobytes()
+        if mirrored and u.ndim >= 3 and u.shape[-3] == phi.size:
+            return u @ _transpose(u[..., ::-1, :, :])
+        return u @ _transpose(u_of_phi(-phi))
 
     return s_of_phi
 
@@ -177,15 +232,19 @@ def reciprocal_from_generator(u_of_phi: Family) -> TwoParticleSMatrix:
     return TwoParticleSMatrix(_reciprocal(u_of_phi))
 
 
-def reciprocal_ring_family(seed: int) -> Family:
+def reciprocal_ring_family(seed: Seeds) -> Family:
     """Seeded 2x2 unitary ring family with ``S_ij(phi) = S_ji(-phi)``."""
     return _reciprocal(seeded_generator(seed, dim=2))
 
 
-def random_symmetric_unitary(seed: int) -> NDArray[np.complex128]:
-    """Seeded symmetric 2x2 unitary, the reciprocal form of a flux-free scatterer."""
-    q = random_unitary(np.random.default_rng(seed), 2)
-    return q.T @ q
+def random_symmetric_unitary(seed: Seeds) -> NDArray[np.complex128]:
+    """Seeded symmetric 2x2 unitary, the reciprocal form of a flux-free scatterer.
+
+    A sequence of seeds gives an ``(n, 2, 2)`` stack.
+    """
+    (z,) = _per_seed(seed, lambda rng: (_complex_gaussian(rng, (2, 2)),))
+    q = _orthonormalize(z)
+    return _transpose(q) @ q
 
 
 def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSMatrix:
@@ -193,25 +252,31 @@ def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSM
 
     The detector matrix is phase independent, so its own reciprocity
     constraint reduces to symmetry; asymmetric input would break the
-    reciprocity of the product family.
+    reciprocity of the product family.  A ``(n, 2, 2)`` stack of detectors
+    pairs with a ring family stack of ``n``.
     """
     det = np.asarray(det_s, dtype=complex)
     _require_unitary(det, "detector scattering matrix")
-    _check_defect(np.abs(det - det.T), None, "detector matrix is not symmetric", UNITARITY_TOL)
+    asymmetry = np.abs(det - _transpose(det))
+    _check_defect(asymmetry, None, "detector matrix is not symmetric", UNITARITY_TOL)
 
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
-        return _kron(np.asarray(ring_s(phi), dtype=complex), det)
+        per_phase = det.reshape(det.shape[:-2] + (1,) * phi.ndim + det.shape[-2:])
+        return _kron(np.asarray(ring_s(phi), dtype=complex), per_phase)
 
     return TwoParticleSMatrix(s_of_phi)
 
 
-def generic_family(seed: int) -> TwoParticleSMatrix:
+def generic_family(seed: Seeds) -> TwoParticleSMatrix:
     """Seeded generic reciprocal family, free to break rigidity."""
     return reciprocal_from_generator(seeded_generator(seed))
 
 
-def factorized_family(ring_seed: int, detector_seed: int) -> TwoParticleSMatrix:
-    """Seeded ring family times a seeded symmetric detector: rigid."""
+def factorized_family(ring_seed: Seeds, detector_seed: Seeds) -> TwoParticleSMatrix:
+    """Seeded ring family times a seeded symmetric detector: rigid.
+
+    Sequences of ring and detector seeds pair up element by element.
+    """
     return factorized_s(reciprocal_ring_family(ring_seed), random_symmetric_unitary(detector_seed))
 
 
@@ -238,7 +303,11 @@ def symmetric_phi_grid(n_points: int) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Per-phase rigidity violation and its unitarity-plus-reciprocity bound."""
+    """Per-phase rigidity violation and its unitarity-plus-reciprocity bound.
+
+    ``phis`` is the grid; the other arrays carry the family axes first, and
+    the two maxima are taken over every family and phase.
+    """
 
     phis: NDArray[np.float64]
     t_pos: NDArray[np.float64]
@@ -259,12 +328,12 @@ def rigidity_report(s: TwoParticleSMatrix) -> RigidityReport:
     """Tabulate T(phi) - T(-phi) against |S_12|^2 - |S_21|^2 on the rigidity grid.
 
     The grid is ``symmetric_phi_grid(RIGIDITY_GRID_POINTS)``, so ``T(-phi)``
-    is ``T(phi)`` reversed.
+    is ``T(phi)`` reversed along the last axis.
     """
     phis = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
     mats = s.at(phis)
     t_all = _transmission(mats)
-    t_neg = t_all[::-1]
+    t_neg = t_all[..., ::-1]
     s12_minus_s21 = _abs2(mats[..., 0, 1]) - _abs2(mats[..., 1, 0])
     return RigidityReport(
         phis=phis,

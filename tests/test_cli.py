@@ -165,19 +165,35 @@ class TestVerify:
         assert main(["verify"]) == 0
         assert capsys.readouterr().out != seeded
 
-    def test_decoupled_dot_fails_truncation_scaling_without_traceback(self, tmp_path, capsys):
+    def test_decoupled_dot_leaves_truncation_unresolved_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "decoupled.cfg"
         cfg.write_text("ring.x = 0.06973244147157191\nring.v_mag = 0\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-            assert main(["verify", "--config", str(cfg)]) == 4
+            assert main(["verify", "--config", str(cfg)]) == 5
         out, err = capsys.readouterr()
         assert err == ""
         assert (
-            "[FAIL] truncation-scaling: residual 0.000000e+00; "
-            "eps_d x4 ratio nan in (12.0, 20.0), x2 ratio nan in (3.4, 4.6)\n"
+            "[UNRESOLVED] truncation-scaling: |t1 q/(1-q)| <= 0 eps S at all 12 points, "
+            "below the rounding floor 512 eps S: truncation cannot be resolved here\n"
         ) in out
-        assert "verification: 4/5 suites passed" in out
+        assert out.endswith("verification: 4/5 suites passed, 1 unresolved\n")
+
+    # Both couplings are valid; the old ratio windows failed at both (exit 4).
+    @pytest.mark.parametrize(
+        "x, code, status",
+        [
+            ("1e-20", 5, "[UNRESOLVED] truncation-scaling: "),
+            ("6.7e153", 0, "[PASS] truncation-scaling: "),
+        ],
+    )
+    def test_truncation_at_extreme_couplings(self, tmp_path, capsys, x, code, status):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"ring.x = {x}\n", encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert status in out
 
     def test_suite_failure_gives_verify_exit_code(self, monkeypatch, capsys):
         from abring.verify import SuiteResult
@@ -188,6 +204,22 @@ class TestVerify:
         )
         assert main(["verify"]) == 4
         assert "[FAIL] forced" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("with_failure, code", [(False, 5), (True, 4)])
+    def test_unresolved_suite_gives_its_own_exit_code(
+        self, monkeypatch, capsys, with_failure, code
+    ):
+        from abring.verify import SuiteResult
+        import abring.cli as cli_mod
+
+        results = [SuiteResult("undecided", False, "floor", resolved=False)]
+        if with_failure:
+            results.append(SuiteResult("forced", False, "boom"))
+        monkeypatch.setattr(cli_mod, "run_all", lambda ring, seed: results)
+        assert main(["verify"]) == code
+        out = capsys.readouterr().out
+        assert "[UNRESOLVED] undecided: floor\n" in out
+        assert f"verification: 0/{len(results)} suites passed, 1 unresolved\n" in out
 
 
 class TestRigidity:

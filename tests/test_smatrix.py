@@ -215,6 +215,18 @@ class TestBatchedParity:
             s = family(seed)
             assert np.array_equal(s.at(GRID), np.array([s.at(p) for p in GRID]))
 
+    def test_mirrored_grid_evaluates_the_generator_once(self):
+        u0 = seeded_generator(4)
+        calls = []
+        s = reciprocal_from_generator(lambda phi: calls.append(phi.shape) or u0(phi))
+        s.at(GRID)
+        assert calls == [GRID.shape]
+        # Not closed under negation; an odd grid holds 0.0, whose negation is -0.0.
+        for phis in (GRID[1:], symmetric_phi_grid(65)):
+            calls.clear()
+            assert np.array_equal(s.at(phis), np.array([s.at(p) for p in phis]))
+            assert calls[:2] == [phis.shape, phis.shape]
+
     def test_factorized_stack_equals_np_kron(self):
         for seed in range(20):
             ring = reciprocal_ring_family(10_000 + seed)
@@ -337,3 +349,80 @@ class TestUnitarityBoundary:
 
         s = reciprocal_from_generator(u)
         assert_allclose(s.at(GRID), generic_family(4).at(GRID), atol=1e-14)
+
+
+# Seeds near 0, near 2^31 and above 2^31 + 20,000, the top of the offsets
+# that the verification suite adds to a benchmark seed.
+STACK_SEEDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1] + list(
+    range(2**31 + 20_000, 2**31 + 20_010)
+)
+
+
+class TestSeedStacks:
+    """A sequence of seeds builds the per-seed families, stacked on a leading axis, bit for bit."""
+
+    def test_generic(self):
+        stack = generic_family(STACK_SEEDS).at(GRID)
+        assert stack.shape == (len(STACK_SEEDS), GRID.size, 4, 4)
+        for k, seed in enumerate(STACK_SEEDS):
+            assert np.array_equal(stack[k], generic_family(seed).at(GRID))
+
+    def test_ring(self):
+        stack = reciprocal_ring_family(STACK_SEEDS)(GRID)
+        for k, seed in enumerate(STACK_SEEDS):
+            assert np.array_equal(stack[k], reciprocal_ring_family(seed)(GRID))
+
+    def test_detector(self):
+        stack = random_symmetric_unitary(STACK_SEEDS)
+        assert stack.shape == (len(STACK_SEEDS), 2, 2)
+        for k, seed in enumerate(STACK_SEEDS):
+            assert np.array_equal(stack[k], random_symmetric_unitary(seed))
+
+    def test_factorized(self):
+        detectors = [seed + 10_000 for seed in STACK_SEEDS]
+        stack = factorized_family(STACK_SEEDS, detectors).at(GRID)
+        for k, (ring, det) in enumerate(zip(STACK_SEEDS, detectors)):
+            assert np.array_equal(stack[k], factorized_family(ring, det).at(GRID))
+
+    def test_scalar_phase_and_generator(self):
+        u = seeded_generator(STACK_SEEDS[:3])
+        assert u(0.3).shape == (3, 4, 4)
+        assert np.array_equal(u(0.3)[2], seeded_generator(STACK_SEEDS[2])(0.3))
+        assert generic_family(STACK_SEEDS[:3]).at(0.3).shape == (3, 4, 4)
+
+    def test_report_gains_a_family_axis(self):
+        seeds = STACK_SEEDS[:5]
+        stacked = rigidity_report(generic_family(seeds))
+        assert np.array_equal(stacked.phis, GRID)
+        for k, seed in enumerate(seeds):
+            single = rigidity_report(generic_family(seed))
+            for field in ("t_pos", "t_neg", "s12sq_minus_s21sq", "identity_residual"):
+                assert np.array_equal(getattr(stacked, field)[k], getattr(single, field))
+        singles = [rigidity_report(generic_family(seed)) for seed in seeds]
+        assert stacked.max_asymmetry == max(r.max_asymmetry for r in singles)
+        assert stacked.max_identity_residual == max(r.max_identity_residual for r in singles)
+
+    def test_nan_family_in_a_stack_is_rejected(self):
+        family = generic_family(STACK_SEEDS[:4])
+
+        def one_nan_family(phi):
+            m = family.s_of_phi(phi)
+            m[1] = np.nan
+            return m
+
+        s = TwoParticleSMatrix(one_nan_family)
+        with pytest.raises(ValidityError, match=r"not unitary at phi=-3\.09\d* \(defect nan\)"):
+            s.at(GRID)
+
+    def test_failure_names_the_phase_within_a_family_stack(self):
+        # Family 1 of 3 is off by a factor 1 + 0.01 cos(phi): worst at phi = 0.5.
+        phis = np.array([-2.0, 0.5, 2.5, -1.0])
+        family = generic_family([3, 4, 5])
+
+        def bumped(phi):
+            m = family.s_of_phi(phi)
+            m[1] = m[1] * _bump(phi)
+            return m
+
+        with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
+            TwoParticleSMatrix(bumped).at(phis)

@@ -47,16 +47,41 @@ def test_individual_suites_quick_variants(ref_ring):
     assert rigidity_suite(6, n_families=20, n_factorized=10).passed
 
 
-def test_truncation_scaling_fails_without_error_when_dot_is_decoupled():
-    # At |V| = 0 all three residuals are exactly 0 at this x.
+def test_truncation_is_unresolved_without_error_when_dot_is_decoupled():
+    # At |V| = 0 the predicted residual t1 q / (1 - q) is exactly 0.
     params = RingParams.from_x(0.06973244147157191, 0.0, 1.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = truncation_suite(params)
-    assert result.passed is False
+    assert (result.passed, result.resolved) == (False, False)
     assert result.detail == (
-        "residual 0.000000e+00; eps_d x4 ratio nan in (12.0, 20.0), x2 ratio nan in (3.4, 4.6)"
+        "|t1 q/(1-q)| <= 0 eps S at all 12 points, below the rounding floor 512 eps S: "
+        "truncation cannot be resolved here"
     )
+
+
+# At x = 1e-20 the true residual, about 1e-40, is far below rounding on
+# |A| ~ 2e-20; at x = 6.7e153, |q| is about 0.9 and the residual is not
+# quadratic in Gamma/eps_d.  The old ratio windows failed at both.
+@pytest.mark.parametrize(
+    "x, passed, resolved",
+    [(0.4, True, True), (2.0, True, True), (6.7e153, True, True), (1e-20, False, False)],
+)
+def test_truncation_identity_across_couplings(x, passed, resolved):
+    result = truncation_suite(RingParams.from_x(x, 0.75, 1.25))
+    assert (result.passed, result.resolved) == (passed, resolved), result.detail
+
+
+def test_truncation_residual_off_by_1e_10_fails(monkeypatch, ref_ring):
+    true_residual = verify.truncation_residual
+
+    def off(params, phi):
+        return true_residual(params, phi) * (1.0 + 1e-10)
+
+    monkeypatch.setattr(verify, "truncation_residual", off)
+    result = truncation_suite(ref_ring)
+    assert (result.passed, result.resolved) == (False, True)
+    assert "(relative 1.000e-10) over 12 of 12 points" in result.detail
 
 
 NAN = complex(np.nan, np.nan)
@@ -108,3 +133,87 @@ def test_diagram_route_off_by_1e_10_of_the_class_scale_fails(monkeypatch):
     result = diagram_sum_suite(5, n_draws=50)
     assert result.passed is False
     assert result.detail.startswith("max |sum - t1| / sum |c| = 1.000e-10 over 50 draws")
+
+
+# rigidity_suite(s).detail for three seeds, as computed one family at a time.
+@pytest.mark.parametrize(
+    "seed, detail",
+    [
+        (0, "max identity residual = 2.442e-15 (tol 1e-12); factorized max asymmetry = 2.220e-15; "
+            "generic max asymmetry = 0.8697 (> 0.01)"),
+        (7, "max identity residual = 2.442e-15 (tol 1e-12); factorized max asymmetry = 2.220e-15; "
+            "generic max asymmetry = 0.8697 (> 0.01)"),
+        (12345, "max identity residual = 2.331e-15 (tol 1e-12); "
+                "factorized max asymmetry = 2.331e-15; generic max asymmetry = 0.9671 (> 0.01)"),
+    ],
+)
+def test_rigidity_detail_is_unchanged_by_stacking(seed, detail):
+    result = rigidity_suite(seed)
+    assert result.passed is True
+    assert result.detail == detail
+
+
+def test_rigidity_stacks_hold_at_most_32_families_and_cover_all(monkeypatch):
+    checked = []  # (matrix dim, families) per unitarity check, in call order
+    original = smatrix._unitarity_defect
+    def recording(m):
+        checked.append((m.shape[-1], m.shape[0]))
+        return original(m)
+
+    monkeypatch.setattr(smatrix, "_unitarity_defect", recording)
+    assert rigidity_suite(12345).passed
+    s_checks = [n for dim, n in checked if dim == 4]
+    assert max(s_checks) <= 32
+    # The generic families come first; each factorized stack checks its
+    # 2x2 detectors before S.
+    first_detector = next(i for i, (dim, _) in enumerate(checked) if dim == 2)
+    generic = [n for dim, n in checked[:first_detector]]
+    factorized = [n for dim, n in checked[first_detector:] if dim == 4]
+    assert (sum(generic), sum(factorized)) == (1000, 100)
+
+
+SWAP = np.eye(4)[[2, 3, 0, 1]]
+
+
+def test_rigidity_failure_names_the_planted_family(monkeypatch):
+    # Family 41 of the generic stack (seed 6 + 41 = 47) becomes S = swap for
+    # phi > 0 and 1 for phi < 0: unitary, not reciprocal, so its identity
+    # residual is +-1 at every grid phase, and the first phase is named.
+    planted_seed = 47
+
+    def planted(seeds):
+        family = smatrix.generic_family(seeds)
+        if planted_seed not in seeds:
+            return family
+        k = list(seeds).index(planted_seed)
+
+        def s_of_phi(phi):
+            m = family.s_of_phi(phi)
+            m[k] = np.where((phi > 0)[..., None, None], SWAP, np.eye(4))
+            return m
+
+        return smatrix.TwoParticleSMatrix(s_of_phi)
+
+    monkeypatch.setattr(verify, "generic_family", planted)
+    result = rigidity_suite(6, n_families=100, n_factorized=10)
+    assert result.passed is False
+    phi0 = repr(float(smatrix.symmetric_phi_grid(64)[0]))
+    assert f"; worst identity residual at generic seed {planted_seed}, phi={phi0};" in result.detail
+    assert "; worst factorized asymmetry at factorized seeds (" in result.detail
+
+
+def test_rigidity_failure_names_the_factorized_family(monkeypatch):
+    # A NaN factorized report fails; the first family is the worst case.
+    def nan_factorized(ring_seeds, detector_seeds):
+        family = smatrix.factorized_family(ring_seeds, detector_seeds)
+        return smatrix.TwoParticleSMatrix(lambda phi: family.s_of_phi(phi) * np.nan)
+
+    monkeypatch.setattr(verify, "factorized_family", nan_factorized)
+    monkeypatch.setattr(smatrix, "_require_unitary", lambda m, what, phi=None: None)
+    result = rigidity_suite(6, n_families=5, n_factorized=3)
+    assert result.passed is False
+    phi0 = repr(float(smatrix.symmetric_phi_grid(64)[0]))
+    assert result.detail.endswith(
+        f"; worst identity residual at factorized seeds (10006, 20006), phi={phi0}"
+        f"; worst factorized asymmetry at factorized seeds (10006, 20006), phi={phi0}"
+    )
