@@ -4,12 +4,14 @@ Usage, with the ``src`` to test on ``PYTHONPATH``::
 
     python .github/scripts/api_reference.py OUT_DIR
 
-Saves two arrays with ``np.save``: ``oracle.npy`` holds the exact and
-second-order amplitudes and the truncation residual at 200 seeded draws,
-and ``thermal.npy`` the thermal transmission at the reference ring over 64
-phases and three temperatures.  Names are imported from their defining
-modules, so the same script runs against an older ``src`` to compare
-outputs byte for byte.
+Saves three arrays with ``np.save``: ``oracle.npy`` holds the exact and
+second-order amplitudes and the truncation residual at 200 seeded draws.
+``thermal.npy`` holds the thermal transmission at the reference ring over
+64 phases and three temperatures, with the default 128-point quadrature.
+``thermal_strong.npy`` holds the same at a second ring, with x > 1 and a
+dot level below the Fermi energy, and the benchmark's 256-point
+quadrature.  Names are imported from their defining modules, so the same
+script runs against an older ``src`` to compare outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -61,10 +63,9 @@ def oracle_values() -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def thermal_values() -> np.ndarray:
-    """(N_PHI, len(TEMPERATURES)) thermal transmissions at the reference ring."""
-    ring = RingParams.from_x(0.4, 0.75, 1.25)
-    configs = [ThermalConfig(kt) for kt in TEMPERATURES]
+def thermal_values(ring: RingParams, quadrature_points: int) -> np.ndarray:
+    """(N_PHI, len(TEMPERATURES)) thermal transmissions of ``ring``."""
+    configs = [ThermalConfig(kt, quadrature_points) for kt in TEMPERATURES]
     phis = np.arange(N_PHI) * (2.0 * np.pi / N_PHI)
     out = np.empty((N_PHI, len(configs)))
     for i, phi in enumerate(phis):
@@ -78,7 +79,10 @@ def main(argv: list[str]) -> int:
     (out_dir,) = argv
     os.makedirs(out_dir, exist_ok=True)
     np.save(os.path.join(out_dir, "oracle.npy"), oracle_values())
-    np.save(os.path.join(out_dir, "thermal.npy"), thermal_values())
+    reference = RingParams.from_x(0.4, 0.75, 1.25)
+    np.save(os.path.join(out_dir, "thermal.npy"), thermal_values(reference, 128))
+    strong = RingParams.from_x(1.8, 0.9, -1.5)  # Gamma/|eps_d| = 0.23
+    np.save(os.path.join(out_dir, "thermal_strong.npy"), thermal_values(strong, 256))
     return 0
 
 

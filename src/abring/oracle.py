@@ -15,14 +15,16 @@ direct amplitude for every coupling and phase, which gives
 the same resolvent must then match the closed-form single-visit amplitude
 on its own, and the leftover quantifies the truncation error.
 
-``ResolventModel(params, phi)`` is the whole model: each solve builds
-``g^{-1} - H`` from the ring, so ``H`` is Hermitian by construction and
-the only checks are those ``RingParams`` makes when it is built.
+``ResolventModel(params, phi)`` is the whole model.  It assembles the
+energy-independent lead-and-hop block of ``g^{-1} - H`` once, from the
+ring, so ``H`` is Hermitian by construction and the only checks are those
+``RingParams`` makes when it is built.  Each solve copies that block and
+writes its energies into the dot entry; the block itself is read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,12 +40,33 @@ __all__ = [
 ]
 
 
+# Unit source at L: one (3, 1) column that np.linalg.solve broadcasts over
+# every stack of matrices (a 1-d source would not broadcast on numpy < 2).
+_SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+_SOURCE.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class ResolventModel:
     """Three-site resolvent of the ring at a fixed flux phase."""
 
     params: RingParams
     phi: float
+    # g^{-1} - H without the dot entry's energy; read-only, built once.
+    _block: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The direct hop L<-R carries |W| e^{i phi} so that L->R
+        # transmission picks up e^{-i phi}.
+        p = self.params
+        w = p.w_mag * np.exp(1j * self.phi)
+        v = p.v_mag
+        block = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
+        g_lead = -1j * (np.pi * p.rho)
+        block[0, 0] += 1.0 / g_lead
+        block[1, 1] += 1.0 / g_lead
+        block.flags.writeable = False
+        object.__setattr__(self, "_block", block)
 
     @property
     def norm_const(self) -> complex:
@@ -51,31 +74,19 @@ class ResolventModel:
         return 2j / (np.pi * self.params.rho)
 
     def _inverse_propagator(self, energy) -> NDArray[np.complex128]:
-        """g^{-1} - H for one energy or a stack of energies.
-
-        The direct hop L<-R carries ``|W| e^{i phi}`` so that L->R
-        transmission picks up ``e^{-i phi}``.
-        """
-        p = self.params
-        w = p.w_mag * np.exp(1j * self.phi)
-        v = p.v_mag
-        hop = np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
+        """g^{-1} - H for one energy or a stack of energies, as a fresh array."""
         energy = np.asarray(energy, dtype=float)
-        a = np.broadcast_to(-hop, energy.shape + (3, 3)).copy()
-        g_lead = -1j * (np.pi * p.rho)
-        a[..., 0, 0] += 1.0 / g_lead
-        a[..., 1, 1] += 1.0 / g_lead
-        a[..., 2, 2] += energy - p.eps_d
+        a = np.empty(energy.shape + (3, 3), dtype=complex)
+        a[...] = self._block
+        a[..., 2, 2] = -0.0 + (energy - self.params.eps_d)  # -H_dd + (E - eps_d), H_dd = 0
         return a
 
     def amplitude(self, energy):
         """Normalized L -> R resolvent element; exact in all hop orders."""
         scalar = np.ndim(energy) == 0
-        a = self._inverse_propagator(energy)
-        rhs = np.zeros(a.shape[:-1], dtype=complex)
-        rhs[..., 0] = 1.0  # inject at L, read out at R
         try:
-            col = np.linalg.solve(a, rhs[..., None])[..., 1, 0]
+            # Inject at L, read out at R.
+            col = np.linalg.solve(self._inverse_propagator(energy), _SOURCE)[..., 1, 0]
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"resolvent singular at energy {energy!r}") from exc
         out = self.norm_const * col

@@ -21,7 +21,7 @@ negative derivative of the Fermi function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -196,54 +196,72 @@ class ThermalConfig:
     """Fermi-window quadrature settings.
 
     ``temperature`` is k_B T in energy units; ``energy_window`` is the
-    half-width of the integration window in units of k_B T.
+    half-width of the integration window in units of k_B T.  Above zero
+    temperature the config builds its midpoint energies and thermal
+    weights ``-df/dE = sech^2(E / 2kT) / 4kT`` once, when it is made.
+
+    Raises
+    ------
+    ValidityError
+        If a setting is out of range, or if the raw quadrature mass differs
+        from 1 by more than 1e-6, meaning the window or point count is too
+        small for the weight.
     """
 
     temperature: float = 0.0
     quadrature_points: int = 128
     energy_window: float = 16.0
+    # The window's midpoint energies (read-only), their weights and the
+    # weights' sum; None at zero temperature.
+    _mids: NDArray[np.float64] | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: NDArray[np.float64] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _mass: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValidityError(
                 f"temperature must be finite and nonnegative, got {self.temperature}"
             )
-        if self.temperature > 0 and self.quadrature_points < 16:
-            raise ValidityError(
-                f"need at least 16 quadrature points, got {self.quadrature_points}"
-            )
+        n = self.quadrature_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidityError(f"quadrature_points must be an integer, got {n!r}")
+        if self.temperature > 0 and n < 16:
+            raise ValidityError(f"need at least 16 quadrature points, got {n}")
         if not (math.isfinite(self.energy_window) and self.energy_window >= 8.0):
             raise ValidityError(
                 f"energy window must be finite and span at least 8 k_B T, got {self.energy_window}"
             )
+        kt = self.temperature
+        if kt == 0.0:
+            return
+        half = self.energy_window * kt
+        step = 2.0 * half / n
+        mids = -half + step * (np.arange(n) + 0.5)
+        arg = np.minimum(np.abs(mids / (2.0 * kt)), 350.0)
+        weights = step / (4.0 * kt * np.cosh(arg) ** 2)
+        mass = float(np.sum(weights))
+        if not abs(mass - 1.0) <= WEIGHT_MASS_TOL:
+            raise ValidityError(
+                f"thermal weight mass {mass!r} deviates from 1 by more than "
+                f"{WEIGHT_MASS_TOL}; enlarge energy_window or quadrature_points"
+            )
+        mids.flags.writeable = False  # handed to every tfun
+        object.__setattr__(self, "_mids", mids)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_mass", mass)
 
 
 def thermal_transmission(tfun: Callable[[NDArray[np.float64]], object], cfg: ThermalConfig) -> float:
     """Average an energy-resolved transmission over the Fermi window.
 
-    Midpoint quadrature of ``tfun`` against the thermal weight
-    ``-df/dE = sech^2(E / 2kT) / 4kT`` on a symmetric window, with the
-    discrete weights normalized to unit mass so a constant function is
-    reproduced exactly.  At zero temperature this is ``tfun(0)``.
-
-    Raises
-    ------
-    ValidityError
-        If the raw quadrature mass differs from 1 by more than 1e-6,
-        meaning the window or point count is too small for the weight.
+    Midpoint quadrature of ``tfun`` against the thermal weights of ``cfg``
+    on its symmetric window, with the discrete weights normalized to unit
+    mass so a constant function is reproduced exactly.  ``tfun`` is called
+    once, on all of the window's energies.  At zero temperature this is
+    ``tfun(0)``.
     """
-    kt = cfg.temperature
-    if kt == 0.0:
+    if cfg.temperature == 0.0:
         return float(tfun(0.0))
-    half = cfg.energy_window * kt
-    step = 2.0 * half / cfg.quadrature_points
-    mids = -half + step * (np.arange(cfg.quadrature_points) + 0.5)
-    arg = np.minimum(np.abs(mids / (2.0 * kt)), 350.0)
-    weights = step / (4.0 * kt * np.cosh(arg) ** 2)
-    mass = float(np.sum(weights))
-    if not abs(mass - 1.0) <= WEIGHT_MASS_TOL:
-        raise ValidityError(
-            f"thermal weight mass {mass!r} deviates from 1 by more than "
-            f"{WEIGHT_MASS_TOL}; enlarge energy_window or quadrature_points"
-        )
-    return float(np.sum(weights * np.asarray(tfun(mids), dtype=float)) / mass)
+    return float(np.sum(cfg._weights * np.asarray(tfun(cfg._mids), dtype=float)) / cfg._mass)

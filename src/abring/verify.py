@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import ValidityError
 from .oracle import exact_amplitude, second_order_amplitude, truncation_residual
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
 from .smatrix import TwoParticleSMatrix, factorized_family, generic_family, rigidity_report
@@ -118,12 +119,20 @@ def truncation_suite(params: RingParams) -> SuiteResult:
     ``S = (|A| + |t0| + |t1|) / min(1, |1 - q|)``: a point passes when
     ``|r - |t1 q/(1-q)|| <= TRUNCATION_TOL eps S``.  A point whose predicted
     residual is below ``TRUNCATION_FLOOR eps S`` cannot be resolved and is
-    skipped; when every point is, the suite is unresolved.
+    skipped; when every point is, the suite is unresolved.  A point whose
+    scaled ring is not valid (``eps_d`` overflows) is skipped the same way.
     """
     eps = np.finfo(float).eps
     gaps, relative, floors = [], [], []
+    invalid = 0
     for factor in (1.0, 2.0, 4.0):
-        ring = replace(params, eps_d=factor * params.eps_d)
+        try:
+            # A larger |eps_d| only moves the ring further off resonance, so
+            # the guard that admitted (or was waived for) params is not rerun.
+            ring = replace(params, eps_d=factor * params.eps_d, validate_off_resonance=False)
+        except ValidityError:
+            invalid += len(TRUNCATION_PHASES)
+            continue
         for phi in TRUNCATION_PHASES:
             t0, t1 = complex(amplitude_t0(ring, phi)), complex(amplitude_t1(ring, phi))
             q = (ring.gamma / ring.eps_d) * (2j + 2.0 * ring.x * np.cos(phi))
@@ -134,16 +143,19 @@ def truncation_suite(params: RingParams) -> SuiteResult:
                 gap = abs(truncation_residual(ring, phi) - predicted)
                 gaps.append(gap / (eps * s))
                 relative.append(gap / predicted)
+    n_points = len(floors) + invalid
     if not gaps:
+        scope = f"{len(floors)} of {n_points}" if invalid else f"all {n_points}"
+        overflow = f", and the scaled eps_d overflows at the other {invalid}" if invalid else ""
         detail = (
-            f"|t1 q/(1-q)| <= {max(floors):.3g} eps S at all {len(floors)} points, below the "
-            f"rounding floor {TRUNCATION_FLOOR:g} eps S: truncation cannot be resolved here"
+            f"|t1 q/(1-q)| <= {max(floors):.3g} eps S at {scope} points, below the rounding "
+            f"floor {TRUNCATION_FLOOR:g} eps S{overflow}: truncation cannot be resolved here"
         )
         return SuiteResult("truncation-scaling", False, detail, resolved=False)
     worst = _worst(gaps)
     detail = (
         f"max |r - |t1 q/(1-q)|| = {worst:.3g} eps S (relative {_worst(relative):.3e}) "
-        f"over {len(gaps)} of {len(floors)} points (tol {TRUNCATION_TOL:g} eps S)"
+        f"over {len(gaps)} of {n_points} points (tol {TRUNCATION_TOL:g} eps S)"
     )
     return SuiteResult("truncation-scaling", bool(worst <= TRUNCATION_TOL), detail)
 

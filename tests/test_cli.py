@@ -179,6 +179,19 @@ class TestVerify:
         ) in out
         assert out.endswith("verification: 4/5 suites passed, 1 unresolved\n")
 
+    # sweep-phase accepts these, so verify must not stop at the inf eps_d of its scaled rings.
+    @pytest.mark.parametrize("eps_d", ["1e308", "5e307"])
+    def test_huge_dot_level_leaves_truncation_unresolved(self, tmp_path, capsys, eps_d):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(f"ring.eps_d = {eps_d}\n", encoding="utf-8")
+        assert main(["sweep-phase", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 5
+        out, err = capsys.readouterr()
+        assert "validity error" not in out + err
+        assert "[UNRESOLVED] truncation-scaling: " in out
+        assert out.endswith("verification: 4/5 suites passed, 1 unresolved\n")
+
     # Both couplings are valid; the old ratio windows failed at both (exit 4).
     @pytest.mark.parametrize(
         "x, code, status",

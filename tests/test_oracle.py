@@ -109,6 +109,32 @@ class TestExactAmplitude:
         for e, b in zip(energies, batch):
             assert_allclose(b, exact_amplitude(ref_ring, 0.8, float(e)), rtol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(256,), (4, 3)])
+    def test_energy_stack_is_bit_identical_to_scalar_solves(self, rng, shape):
+        for _ in range(20):
+            p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
+            energies = rng.uniform(-0.5, 0.5, shape)
+            stacked = exact_amplitude(p, phi, energies)
+            scalars = np.array([exact_amplitude(p, phi, float(e)) for e in energies.flat])
+            assert stacked.shape == shape
+            assert np.array_equal(stacked.ravel(), scalars)
+
+    def test_model_block_is_never_written(self, rng):
+        # One model solved at two energy stacks in turn equals fresh models.
+        for _ in range(20):
+            p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
+            first, second = rng.uniform(-0.5, 0.5, 64), rng.uniform(-0.5, 0.5, 7)
+            model = ResolventModel(p, phi)
+            assert np.array_equal(model.amplitude(first), ResolventModel(p, phi).amplitude(first))
+            assert np.array_equal(model.amplitude(second), ResolventModel(p, phi).amplitude(second))
+            assert model.amplitude(0.0) == ResolventModel(p, phi).amplitude(0.0)
+        with pytest.raises(ValueError):
+            model._block[2, 2] = 0.0
+
+    def test_model_compares_by_ring_and_phase(self, ref_ring):
+        assert ResolventModel(ref_ring, 0.8) == ResolventModel(ref_ring, 0.8)
+        assert repr(ResolventModel(ref_ring, 0.8)).endswith("phi=0.8)")
+
 
 class TestEnergyResolved:
     def test_consistent_at_fermi_energy(self, ref_ring):

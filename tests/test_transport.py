@@ -389,14 +389,52 @@ class TestThermal:
         assert abs(results[1] - results[0]) < 1e-8 * abs(results[1])
         assert abs(results[2] - results[1]) < 1e-8 * abs(results[2])
 
-    def test_narrow_window_fails_mass_check(self, ref_ring):
-        tfun = energy_resolved_transmission(ref_ring, 0.7)
-        cfg = ThermalConfig(temperature=0.01, energy_window=8.0)
-        with pytest.raises(ValidityError):
-            thermal_transmission(tfun, cfg)
+    def test_narrow_window_fails_mass_check(self):
+        # The window is checked when the config is built.
+        with pytest.raises(ValidityError, match="mass"):
+            ThermalConfig(temperature=0.01, energy_window=8.0)
         # A finite k_B T whose window overflows gives a NaN mass.
         with np.errstate(invalid="ignore"), pytest.raises(ValidityError, match="mass"):
-            thermal_transmission(tfun, ThermalConfig(temperature=1e308))
+            ThermalConfig(temperature=1e308)
+
+    @pytest.mark.parametrize("points", [100.5, 128.0, True, "128", None])
+    def test_non_integer_point_count_rejected(self, points):
+        # 100.5 points would sum 101 midpoints over a window sized for 100.5.
+        with pytest.raises(ValidityError, match="^quadrature_points must be an integer"):
+            ThermalConfig(0.1, points)
+        with pytest.raises(ValidityError, match="^quadrature_points must be an integer"):
+            ThermalConfig(0.0, points)
+
+    def test_numpy_integer_point_count_accepted(self, ref_ring):
+        tfun = energy_resolved_transmission(ref_ring, 0.7)
+        assert thermal_transmission(tfun, ThermalConfig(0.1, np.int64(128))) == (
+            thermal_transmission(tfun, ThermalConfig(0.1, 128))
+        )
+
+    def test_window_is_read_only_and_not_compared(self):
+        cfg = ThermalConfig(0.1, 64)
+        with pytest.raises(ValueError):
+            cfg._mids[0] = 0.0
+        assert cfg == ThermalConfig(0.1, 64)
+        assert repr(cfg) == (
+            "ThermalConfig(temperature=0.1, quadrature_points=64, energy_window=16.0)"
+        )
+
+    # float.hex of thermal_transmission at the reference ring with 256 points;
+    # a faster quadrature must reproduce these bits.
+    THERMAL_PINS = {
+        0.0: ("0x1.54f04306df3e9p-3", "0x1.4e059c11a2af9p-3", "0x1.75c684ef98359p-3"),
+        0.7: ("0x1.11795bcfc905ep-2", "0x1.104c48ef740b2p-2", "0x1.2911f7ba73005p-2"),
+        2.5: ("0x1.66f9381a08f95p-1", "0x1.6889aadf9f69bp-1", "0x1.6f49fab31cfb1p-1"),
+    }
+
+    @pytest.mark.parametrize("phi", sorted(THERMAL_PINS))
+    def test_reference_values_are_bit_exact(self, ref_ring, phi):
+        tfun = energy_resolved_transmission(ref_ring, phi)
+        got = tuple(
+            thermal_transmission(tfun, ThermalConfig(kt, 256)).hex() for kt in (0.02, 0.1, 0.3)
+        )
+        assert got == self.THERMAL_PINS[phi]
 
     def test_config_invariants(self):
         with pytest.raises(ValidityError):

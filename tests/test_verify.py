@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from abring import smatrix, verify
+from abring.errors import OffResonanceWarning
 from abring.ring import DiagramComponents, RingParams, diagram_components
 from abring.verify import (
     calibration_suite,
@@ -58,6 +59,27 @@ def test_truncation_is_unresolved_without_error_when_dot_is_decoupled():
         "|t1 q/(1-q)| <= 0 eps S at all 12 points, below the rounding floor 512 eps S: "
         "truncation cannot be resolved here"
     )
+
+
+@pytest.mark.parametrize("eps_d, n_valid", [(1e308, 4), (-1e308, 4), (5e307, 8)])
+def test_truncation_skips_scaled_rings_that_overflow(eps_d, n_valid):
+    # 2 eps_d or 4 eps_d is inf here; those points count as unresolved.
+    result = truncation_suite(RingParams.from_x(0.4, 0.75, eps_d))
+    assert (result.passed, result.resolved) == (False, False)
+    assert result.detail == (
+        f"|t1 q/(1-q)| <= 0 eps S at {n_valid} of 12 points, below the rounding floor 512 eps S, "
+        f"and the scaled eps_d overflows at the other {12 - n_valid}: "
+        "truncation cannot be resolved here"
+    )
+
+
+def test_truncation_reruns_no_off_resonance_warning():
+    # Gamma/|eps_d| = 0.3972: the caller's ring warned once, when it was built.
+    with pytest.warns(OffResonanceWarning):
+        params = RingParams.from_x(0.4, 1.2, 1.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncation_suite(params).passed
 
 
 # At x = 1e-20 the true residual, about 1e-40, is far below rounding on
