@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 
-# Unit source at L: one (3, 1) column that np.linalg.solve broadcasts over
-# every stack of matrices (a 1-d source would not broadcast on numpy < 2).
+# Unit source at L, a read-only (3, 1) column.  Each solve broadcasts it to
+# the ndim of its matrix stack: numpy < 2 reads a source with one dimension
+# fewer than the stack as a stack of vectors, which a (3, 1) column against
+# an (N, 3, 3) stack would be.
 _SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
 _SOURCE.flags.writeable = False
 
@@ -78,7 +80,7 @@ class ResolventModel:
         energy = np.asarray(energy, dtype=float)
         a = np.empty(energy.shape + (3, 3), dtype=complex)
         a[...] = self._block
-        a[..., 2, 2] = -0.0 + (energy - self.params.eps_d)  # -H_dd + (E - eps_d), H_dd = 0
+        a[..., 2, 2] = energy - self.params.eps_d
         return a
 
     def amplitude(self, energy):
@@ -86,7 +88,9 @@ class ResolventModel:
         scalar = np.ndim(energy) == 0
         try:
             # Inject at L, read out at R.
-            col = np.linalg.solve(self._inverse_propagator(energy), _SOURCE)[..., 1, 0]
+            a = self._inverse_propagator(energy)
+            b = _SOURCE if a.ndim == 2 else np.broadcast_to(_SOURCE, a.shape[:-1] + (1,))
+            col = np.linalg.solve(a, b)[..., 1, 0]
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"resolvent singular at energy {energy!r}") from exc
         out = self.norm_const * col

@@ -119,6 +119,22 @@ class TestExactAmplitude:
             assert stacked.shape == shape
             assert np.array_equal(stacked.ravel(), scalars)
 
+    @pytest.mark.parametrize("energy", [0.1, np.linspace(-0.3, 0.3, 5), np.zeros((2, 3))])
+    def test_source_has_the_ndim_of_its_matrix_stack(self, monkeypatch, ref_ring, energy):
+        # numpy < 2 solves a source with one dimension fewer than the stack
+        # as a stack of vectors; equal ndim takes the matrix path everywhere.
+        solve, seen = np.linalg.solve, []
+
+        def checked_solve(a, b):
+            seen.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked_solve)
+        ResolventModel(ref_ring, 0.8).amplitude(energy)
+        (a_shape, b_shape), = seen
+        assert a_shape == np.shape(energy) + (3, 3)
+        assert b_shape == np.shape(energy) + (3, 1)
+
     def test_model_block_is_never_written(self, rng):
         # One model solved at two energy stacks in turn equals fresh models.
         for _ in range(20):
