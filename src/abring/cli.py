@@ -37,16 +37,10 @@ EXIT_VERIFY = 4
 EXIT_UNRESOLVED = 5
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[ArrayLike]) -> None:
     """Write equal-length columns as rows of ``%.17g`` values.
 
-    ``%`` on a Python float is the same shortest-repr routine as ``_fmt``,
-    so each value is written as ``_fmt`` would write it.  Rows are streamed:
-    the file is never held as one string.
+    Rows are streamed: the file is never held as one string.
     """
     cols = [np.asarray(col, dtype=float).tolist() for col in columns]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
@@ -68,7 +62,7 @@ def cmd_sweep_phase(cfg: RunConfig) -> int:
     for lam, bad in zip(sweep.lambdas, sweep.out_of_range()):
         _warn_out_of_range(lam, bad)
     csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
-    header = ["phi"] + [f"T_lambda={_fmt(lam)}" for lam in cfg.lambda_list]
+    header = ["phi"] + ["T_lambda=%.17g" % lam for lam in cfg.lambda_list]
     _write_csv(csv_path, header, [sweep.phis, *sweep.values])
     svg_path = os.path.join(cfg.out_dir, "phase_sweep.svg")
     write_line_plot(

@@ -3,7 +3,7 @@
 Parsing is strict: unknown or duplicate keys are rejected so a typo can
 never silently fall back to a default.  Unset keys take the defaults
 below, which reproduce the reference parameter point (x = 0.4,
-|V| = 0.75, eps_d = 1.25 in units of the direct hop).
+|V| = 0.75, eps_d = 1.25 in units of the direct hop, |W| = 1).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .ring import RingParams
 __all__ = ["RunConfig", "parse_config", "load_config", "DEFAULTS"]
 
 DEFAULTS: dict[str, str] = {
-    "ring.w_mag": "1.0",
     "ring.v_mag": "0.75",
     "ring.eps_d": "1.25",
     "ring.x": "0.4",
@@ -103,13 +102,12 @@ def parse_config(text: str) -> RunConfig:
         del pairs["ring.x"]
     pairs.update(user)
 
-    w_mag = _get_float(pairs, "ring.w_mag")
     v_mag = _get_float(pairs, "ring.v_mag")
     eps_d = _get_float(pairs, "ring.eps_d")
     if "ring.rho" in pairs:
-        ring = RingParams(w_mag=w_mag, v_mag=v_mag, eps_d=eps_d, rho=_get_float(pairs, "ring.rho"))
+        ring = RingParams(v_mag=v_mag, eps_d=eps_d, rho=_get_float(pairs, "ring.rho"))
     else:
-        ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d, w_mag=w_mag)
+        ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d)
 
     try:
         lambda_list = tuple(float(s) for s in pairs["sweep.lambda_list"].split(","))

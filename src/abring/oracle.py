@@ -58,10 +58,10 @@ class ResolventModel:
     _block: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The direct hop L<-R carries |W| e^{i phi} so that L->R
-        # transmission picks up e^{-i phi}.
+        # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
+        # L->R transmission picks up e^{-i phi}.
         p = self.params
-        w = p.w_mag * np.exp(1j * self.phi)
+        w = np.exp(1j * self.phi)
         v = p.v_mag
         block = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
         g_lead = -1j * (np.pi * p.rho)

@@ -6,7 +6,7 @@ carrying the enclosed-flux phase ``phi``, and by a single dot level
 reflections at the lead junctions resum into closed-form Fermi-energy
 transmission amplitudes
 
-    t0(phi) = -2i x / (1 + x^2) * exp(-i phi),      x = pi rho |W|,
+    t0(phi) = -2i x / (1 + x^2) * exp(-i phi),      x = pi rho |W| = pi rho,
     t1(phi) = (Gamma / eps_d) t0(phi) (2i - exp(i phi)/x + x exp(-i phi)),
 
 where ``rho`` is the lead density of states at the Fermi energy and
@@ -15,8 +15,10 @@ level.  ``t0`` collects every path that avoids the dot; ``t1`` collects
 every path with exactly one dot visit, which is the leading dot
 contribution off resonance (``Gamma << |eps_d|``).
 
-All energies are measured in units of ``|W|`` with the Fermi energy at 0.
-The amplitude functions accept a scalar phase or an array of phases.
+The ring depends only on ``x`` and ``Gamma/eps_d``, so ``|W|`` only sets the
+unit: all energies are measured in units of ``|W| = 1`` with the Fermi
+energy at 0.  The amplitude functions accept a scalar phase or an array of
+phases.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ def _is_normal(value: float) -> bool:
     return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RingParams:
-    """Interferometer parameters in units of the direct hop ``|W|``.
+    """Interferometer parameters in units of the direct hop, ``|W| = 1``.
+
+    Fields are keyword-only.
 
     Parameters
     ----------
-    w_mag : float
-        Direct lead-lead hop magnitude. Sets the energy unit (default 1).
     v_mag : float
         Dot-lead hop magnitude.
     eps_d : float
@@ -69,7 +71,6 @@ class RingParams:
         transmission values may leave [0, 1].
     """
 
-    w_mag: float = 1.0
     v_mag: float = 0.75
     eps_d: float = 1.25
     rho: float = 0.4 / np.pi
@@ -77,7 +78,6 @@ class RingParams:
 
     def __post_init__(self) -> None:
         for name, value, in_range, requirement in (
-            ("w_mag", self.w_mag, self.w_mag > 0, "positive"),
             ("v_mag", self.v_mag, self.v_mag >= 0, "nonnegative"),
             ("rho", self.rho, self.rho > 0, "positive"),
             ("eps_d", self.eps_d, self.eps_d != 0, "nonzero (dot off resonance)"),
@@ -94,7 +94,7 @@ class RingParams:
         # turns them into inf, nan or all zeros.
         if not (x > 0 and _is_normal(x2) and _is_normal(1.0 / x2) and math.isfinite(ratio)):
             raise ValidityError(
-                f"parameters leave the float range: x = pi rho |W| = {x} (x^2 = {x2}), "
+                f"parameters leave the float range: x = pi rho = {x} (x^2 = {x2}), "
                 f"Gamma/|eps_d| = {ratio}"
             )
         if self.validate_off_resonance:
@@ -116,29 +116,20 @@ class RingParams:
                 )
 
     @classmethod
-    def from_x(
-        cls,
-        x: float,
-        v_mag: float,
-        eps_d: float,
-        w_mag: float = 1.0,
-        validate_off_resonance: bool = True,
-    ) -> "RingParams":
-        """Build parameters from the dimensionless lead coupling ``x = pi rho |W|``."""
+    def from_x(cls, x: float, v_mag: float, eps_d: float) -> "RingParams":
+        """Build parameters from the dimensionless lead coupling ``x = pi rho``.
+
+        The off-resonance guard always runs here; to waive it, build
+        ``RingParams(..., validate_off_resonance=False)`` with ``rho = x / pi``.
+        """
         if not (math.isfinite(x) and x > 0):
             raise ValidityError(f"x must be finite and positive, got {x}")
-        return cls(
-            w_mag=w_mag,
-            v_mag=v_mag,
-            eps_d=eps_d,
-            rho=x / (np.pi * w_mag) if w_mag else math.nan,  # the constructor rejects w_mag = 0
-            validate_off_resonance=validate_off_resonance,
-        )
+        return cls(v_mag=v_mag, eps_d=eps_d, rho=x / np.pi)
 
     @property
     def x(self) -> float:
-        """Dimensionless lead coupling ``pi rho |W|``."""
-        return np.pi * self.rho * self.w_mag
+        """Dimensionless lead coupling ``pi rho |W|``, which is ``pi rho`` at ``|W| = 1``."""
+        return np.pi * self.rho
 
     @property
     def gamma(self) -> float:

@@ -53,7 +53,6 @@ from .errors import ValidityError
 __all__ = [
     "TwoParticleSMatrix",
     "RigidityReport",
-    "random_unitary",
     "seeded_generator",
     "reciprocal_from_generator",
     "reciprocal_ring_family",
@@ -86,11 +85,11 @@ def _unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.max(np.abs(_transpose(m.conj()) @ m - eye), axis=(-2, -1))
 
 
-def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str, tol: float) -> None:
-    """Raise ``ValidityError`` naming the worst defect, and its phase, unless all are <= tol."""
+def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str) -> None:
+    """Raise ``ValidityError`` if a defect exceeds UNITARITY_TOL, naming the worst and its phase."""
     if phi is not None:
         phi, defect = np.broadcast_arrays(phi, defect)
-    if not np.all(defect <= tol):
+    if not np.all(defect <= UNITARITY_TOL):
         k = np.argmax(defect)
         at = "" if phi is None else f" at phi={float(phi.flat[k])!r}"
         raise ValidityError(f"{what}{at} (defect {defect.flat[k]:.3e})")
@@ -99,7 +98,7 @@ def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str,
 def _require_unitary(m: NDArray[np.complex128], what: str, phi: ArrayLike | None = None) -> None:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary", UNITARITY_TOL)
+    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary")
 
 
 # Bit-for-bit agreement with per-phase evaluation rests on three choices.
@@ -147,11 +146,6 @@ def _per_seed(seed: Seeds, draw: Callable[[np.random.Generator], tuple]) -> list
     seeds = np.asarray(seed, dtype=object)
     draws = [draw(np.random.default_rng(s)) for s in seeds.flat]
     return [np.stack(parts).reshape(seeds.shape + parts[0].shape) for parts in zip(*draws)]
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> NDArray[np.complex128]:
-    """Random unitary from QR orthonormalization of a complex Gaussian."""
-    return _orthonormalize(_complex_gaussian(rng, (dim, dim)))
 
 
 def seeded_generator(seed: Seeds, dim: int = 4) -> Family:
@@ -206,7 +200,7 @@ class TwoParticleSMatrix:
         phis = np.asarray(phis, dtype=float)
         m = self.at(phis)
         recip = np.max(np.abs(m - _transpose(self.at(-phis))), axis=(-2, -1))
-        _check_defect(recip, phis, "reciprocity broken", UNITARITY_TOL)
+        _check_defect(recip, phis, "reciprocity broken")
 
 
 def _reciprocal(u_of_phi: Family) -> Family:
@@ -258,7 +252,7 @@ def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSM
     det = np.asarray(det_s, dtype=complex)
     _require_unitary(det, "detector scattering matrix")
     asymmetry = np.abs(det - _transpose(det))
-    _check_defect(asymmetry, None, "detector matrix is not symmetric", UNITARITY_TOL)
+    _check_defect(asymmetry, None, "detector matrix is not symmetric")
 
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         per_phase = det.reshape(det.shape[:-2] + (1,) * phi.ndim + det.shape[-2:])

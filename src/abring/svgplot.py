@@ -27,12 +27,6 @@ PALETTE = ["#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9", "#9
 N_TICKS = 5
 
 
-def _ticks(lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, N_TICKS)
-
-
 def write_line_plot(
     path: str,
     x: Sequence[float],
@@ -76,7 +70,7 @@ def write_line_plot(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" height="{inner_h}" '
         f'fill="none" stroke="{axis_color}" stroke-width="1"/>'
     )
-    for tick in _ticks(x_lo, x_hi):
+    for tick in np.linspace(x_lo, x_hi, N_TICKS):
         tx = px(tick)
         out.append(
             f'<line x1="{tx:.2f}" y1="{MARGIN_T + inner_h}" x2="{tx:.2f}" '
@@ -86,7 +80,7 @@ def write_line_plot(
             f'<text x="{tx:.2f}" y="{MARGIN_T + inner_h + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in np.linspace(y_lo, y_hi, N_TICKS):
         ty = py(tick)
         out.append(
             f'<line x1="{MARGIN_L - 5}" y1="{ty:.2f}" x2="{MARGIN_L}" y2="{ty:.2f}" '

@@ -203,9 +203,10 @@ class ThermalConfig:
     Raises
     ------
     ValidityError
-        If a setting is out of range, or if the raw quadrature mass differs
-        from 1 by more than 1e-6, meaning the window or point count is too
-        small for the weight.
+        If a setting is out of range, if the window width
+        ``2 * energy_window * temperature`` overflows, or if the raw
+        quadrature mass differs from 1 by more than 1e-6, meaning the window
+        or point count is too small for the weight.
     """
 
     temperature: float = 0.0
@@ -237,6 +238,11 @@ class ThermalConfig:
         if kt == 0.0:
             return
         half = self.energy_window * kt
+        if not math.isfinite(2.0 * half):
+            raise ValidityError(
+                f"Fermi window width 2 * energy_window * temperature = 2 * {self.energy_window}"
+                f" * {kt} overflows the float range"
+            )
         step = 2.0 * half / n
         mids = -half + step * (np.arange(n) + 0.5)
         arg = np.minimum(np.abs(mids / (2.0 * kt)), 350.0)

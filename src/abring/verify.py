@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidityError
-from .oracle import exact_amplitude, second_order_amplitude, truncation_residual
+from .oracle import exact_amplitude, second_order_amplitude
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
 from .smatrix import TwoParticleSMatrix, factorized_family, generic_family, rigidity_report
 
@@ -134,13 +134,14 @@ def truncation_suite(params: RingParams) -> SuiteResult:
             invalid += len(TRUNCATION_PHASES)
             continue
         for phi in TRUNCATION_PHASES:
+            a = exact_amplitude(ring, phi)
             t0, t1 = complex(amplitude_t0(ring, phi)), complex(amplitude_t1(ring, phi))
             q = (ring.gamma / ring.eps_d) * (2j + 2.0 * ring.x * np.cos(phi))
             predicted = abs(t1 * q / (1.0 - q))
-            s = (abs(exact_amplitude(ring, phi)) + abs(t0) + abs(t1)) / min(1.0, abs(1.0 - q))
+            s = (abs(a) + abs(t0) + abs(t1)) / min(1.0, abs(1.0 - q))
             floors.append(predicted / (eps * s))
             if not floors[-1] < TRUNCATION_FLOOR:  # a NaN is checked, and fails
-                gap = abs(truncation_residual(ring, phi) - predicted)
+                gap = abs(abs(a - (t0 + t1)) - predicted)
                 gaps.append(gap / (eps * s))
                 relative.append(gap / predicted)
     n_points = len(floors) + invalid

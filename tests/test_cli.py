@@ -292,6 +292,17 @@ class TestExitCodes:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_removed_energy_unit_key_is_config_error(self, tmp_path, capsys):
+        # Energies are in units of |W| = 1, so the hop is not a config key.
+        cfg = tmp_path / "unit.cfg"
+        cfg.write_text("ring.w_mag = 1.0\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep-phase", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: line 1: unknown key 'ring.w_mag'\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -320,7 +331,6 @@ class TestExitCodes:
             ("ring.eps_d = inf", "eps_d"),
             ("ring.eps_d = -inf", "eps_d"),
             ("ring.x = inf", "x"),
-            ("ring.w_mag = inf", "w_mag"),
             ("ring.rho = nan", "rho"),
             ("sweep.lambda_list = 0, nan", "sweep.lambda_list"),
             ("ring.x = 1e-155", "parameters"),  # x*x subnormal: dot_arm_rms overflows

@@ -31,7 +31,7 @@ NUMBER_TEXT = st.sampled_from([PLAIN_NUMBER_TEXT, PLAIN_NUMBER_TEXT, WILD_NUMBER
 def config_texts(draw):
     coupling = draw(st.sampled_from(["ring.x", "ring.rho"]))
     lines = []
-    for key in ("ring.w_mag", "ring.v_mag", "ring.eps_d", coupling, "sweep.n_phi", "seed"):
+    for key in ("ring.v_mag", "ring.eps_d", coupling, "sweep.n_phi", "seed"):
         value = draw(st.none() | NUMBER_TEXT)
         if value is not None:
             lines.append(f"{key} = {value}\n")
@@ -88,6 +88,9 @@ def test_rho_and_x_mutually_exclusive():
 
 def test_detector_and_thermal_keys_are_unknown():
     # No subcommand read them; the overlaps come from sweep.lambda_list.
+    # ring.w_mag would set the energy unit, which is fixed at |W| = 1.
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("ring.w_mag = 1.0\n")
     removed = {
         "detector": ("lambda", "theta0", "theta1"),
         "thermal": ("temperature", "quadrature_points", "energy_window"),
@@ -165,7 +168,7 @@ def test_any_config_parses_to_finite_parameters_or_is_rejected(text):
             return
         ring = cfg.ring
         derived = (ring.x, ring.gamma, dot_arm_rms(ring))
-        for value in (ring.w_mag, ring.v_mag, ring.eps_d, ring.rho, *derived):
+        for value in (ring.v_mag, ring.eps_d, ring.rho, *derived):
             assert math.isfinite(value)
         for lam in cfg.lambda_list:
             assert np.all(np.isfinite(transmission(ring, lam, phase_grid(8))))

@@ -92,7 +92,7 @@ class TestExactAmplitude:
             x = rng.uniform(0.05, 3.0)
             v = rng.uniform(0.0, 1.5)
             eps_d = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(0.3, 5.0)
-            p = RingParams.from_x(x, v, eps_d, validate_off_resonance=False)
+            p = RingParams(v_mag=v, eps_d=eps_d, rho=x / np.pi, validate_off_resonance=False)
             phi = rng.uniform(-np.pi, np.pi)
             energy = rng.uniform(-0.5, 0.5)
             worst = max(worst, abs(exact_amplitude(p, phi, energy)) ** 2)

@@ -28,11 +28,11 @@ class TestRingParams:
         assert_allclose(ref_ring.x, 0.4, rtol=1e-14)
 
     def test_coupling_proportional_to_rho(self):
-        p = RingParams(w_mag=1.0, v_mag=0.0, eps_d=1.0, rho=1e-9)
+        p = RingParams(v_mag=0.0, eps_d=1.0, rho=1e-9)
         assert_allclose(p.x, np.pi * 1e-9, rtol=1e-15)
 
     def test_unit_coupling_gives_full_direct_transmission(self):
-        p = RingParams(w_mag=1.0, v_mag=0.0, eps_d=1.0, rho=1.0 / np.pi)
+        p = RingParams(v_mag=0.0, eps_d=1.0, rho=1.0 / np.pi)
         assert_allclose(p.x, 1.0, rtol=1e-15)
         assert_allclose(abs(amplitude_t0(p, 0.0)), 1.0, rtol=1e-15)
 
@@ -50,8 +50,6 @@ class TestRingParams:
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidityError):
-            RingParams(w_mag=0.0)
-        with pytest.raises(ValidityError):
             RingParams(v_mag=-0.1)
         with pytest.raises(ValidityError):
             RingParams(rho=0.0)
@@ -60,6 +58,11 @@ class TestRingParams:
         with pytest.raises(ValidityError):
             RingParams.from_x(-0.4, 0.75, 1.25)
 
+    def test_fields_are_keyword_only(self):
+        # Positional fields would silently shift meaning if one were removed.
+        with pytest.raises(TypeError):
+            RingParams(1.0, 0.75, 1.25)
+
     def test_off_resonance_guard(self):
         # x = 0.4, v = 2: Gamma = 1.379..., ratio > 1
         with pytest.raises(ValidityError):
@@ -67,7 +70,7 @@ class TestRingParams:
         with pytest.warns(OffResonanceWarning):
             RingParams.from_x(0.4, 1.2, 1.25)  # ratio ~ 0.40
         # guard can be explicitly disabled
-        p = RingParams.from_x(0.4, 2.0, 1.25, validate_off_resonance=False)
+        p = RingParams(v_mag=2.0, eps_d=1.25, rho=0.4 / np.pi, validate_off_resonance=False)
         assert p.gamma / abs(p.eps_d) > 0.5
 
     def test_off_resonance_warning_names_the_calling_line(self):
@@ -86,7 +89,7 @@ class TestRingParams:
     def test_from_x_roundtrip(self, rng):
         for _ in range(100):
             x = rng.uniform(0.05, 3.0)
-            p = RingParams.from_x(x, 0.0, 1.0, w_mag=rng.uniform(0.5, 2.0))
+            p = RingParams.from_x(x, 0.0, 1.0)
             assert_allclose(p.x, x, rtol=1e-14)
 
 
@@ -106,7 +109,7 @@ class TestAmplitudeT0:
     def test_magnitude_at_most_one(self, rng):
         for _ in range(10_000):
             x = rng.uniform(1e-3, 50.0)
-            p = RingParams(w_mag=1.0, v_mag=0.0, eps_d=1.0, rho=x / np.pi)
+            p = RingParams(v_mag=0.0, eps_d=1.0, rho=x / np.pi)
             phi = rng.uniform(-10.0, 10.0)
             assert abs(amplitude_t0(p, phi)) <= 1.0 + 1e-12
 

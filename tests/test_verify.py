@@ -8,7 +8,13 @@ import pytest
 
 from abring import smatrix, verify
 from abring.errors import OffResonanceWarning
-from abring.ring import DiagramComponents, RingParams, diagram_components
+from abring.ring import (
+    DiagramComponents,
+    RingParams,
+    amplitude_t0,
+    amplitude_t1,
+    diagram_components,
+)
 from abring.verify import (
     calibration_suite,
     diagram_sum_suite,
@@ -95,12 +101,14 @@ def test_truncation_identity_across_couplings(x, passed, resolved):
 
 
 def test_truncation_residual_off_by_1e_10_fails(monkeypatch, ref_ring):
-    true_residual = verify.truncation_residual
+    true_amplitude = verify.exact_amplitude
 
     def off(params, phi):
-        return true_residual(params, phi) * (1.0 + 1e-10)
+        # Moves A - t0 - t1, and so the residual r, by 1e-10 relative.
+        a = true_amplitude(params, phi)
+        return a + 1e-10 * (a - amplitude_t0(params, phi) - amplitude_t1(params, phi))
 
-    monkeypatch.setattr(verify, "truncation_residual", off)
+    monkeypatch.setattr(verify, "exact_amplitude", off)
     result = truncation_suite(ref_ring)
     assert (result.passed, result.resolved) == (False, True)
     assert "(relative 1.000e-10) over 12 of 12 points" in result.detail
