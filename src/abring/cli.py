@@ -4,9 +4,9 @@ Outputs are deterministic for a fixed config and seed: CSV files carry 17
 significant digits with LF line endings, and the SVG plots are rendered
 by the in-package writer.  Exit codes: 0 success, 2 config error (an
 unreadable or malformed config file, or an output directory that cannot
-be written), 3 validity violation, 4 verification failure, 5 verification
-unresolved (no suite failed, but at least one could not decide at this
-config).
+be written), 3 validity violation (including a sweep that does not fit in
+memory), 4 verification failure, 5 verification unresolved (no suite
+failed, but at least one could not decide at this config).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import RunConfig, load_config
+from .config import DEFAULT_OUT_DIR, DEFAULT_SEED, RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
 from .smatrix import factorized_family, generic_family, rigidity_report
@@ -175,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", default=None, help="config file path")
         if func is not cmd_verify:  # verify writes no files
-            sp.add_argument("--out", metavar="DIR", default=None, help="output directory override")
+            sp.add_argument("--out", metavar="DIR", help="output directory (default: %(default)s)")
         if func in (cmd_verify, cmd_rigidity):  # the sweeps draw no seed
-            sp.add_argument("--seed", metavar="INT", type=int, default=None, help="seed override")
-        sp.set_defaults(func=func)
+            sp.add_argument("--seed", metavar="INT", type=int, help="seed (default: %(default)s)")
+        sp.set_defaults(func=func, out=DEFAULT_OUT_DIR, seed=DEFAULT_SEED)
     return parser
 
 
@@ -187,7 +187,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OffResonanceWarning)
-            cfg = load_config(args.config, out_dir=vars(args).get("out"), seed=vars(args).get("seed"))
+            cfg = load_config(args.config, args.out, args.seed)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         return args.func(cfg)
@@ -196,6 +196,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except ValidityError as exc:
         print(f"validity error: {exc}", file=sys.stderr)
+        return EXIT_VALIDITY
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        detail = str(exc) or "allocation failed"
+        print(f"validity error: run does not fit in memory: {detail}", file=sys.stderr)
         return EXIT_VALIDITY
     except OSError as exc:  # load_config reports an unreadable config as ConfigError
         print(f"config error: cannot write output: {exc}", file=sys.stderr)

@@ -1,19 +1,24 @@
 """Run configuration: flat ``section.key = value`` text files.
 
-Parsing is strict: unknown or duplicate keys are rejected so a typo can
-never silently fall back to a default.  Unset keys take the defaults
-below, which reproduce the reference parameter point (x = 0.4,
-|V| = 0.75, eps_d = 1.25 in units of the direct hop, |W| = 1).
+A config file holds only the physics and the sweep; the output directory
+and the seed come from the ``--out`` and ``--seed`` flags, with the
+defaults ``DEFAULT_OUT_DIR`` and ``DEFAULT_SEED``.  Parsing is strict:
+unknown or duplicate keys are rejected so a typo can never silently fall
+back to a default.  Unset keys take the defaults below, which reproduce
+the reference parameter point (x = 0.4, |V| = 0.75, eps_d = 1.25 in units
+of the direct hop, |W| = 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, ValidityError
 from .ring import RingParams
 
-__all__ = ["RunConfig", "parse_config", "load_config", "DEFAULTS"]
+__all__ = [
+    "RunConfig", "parse_config", "load_config", "DEFAULTS", "DEFAULT_OUT_DIR", "DEFAULT_SEED"
+]
 
 DEFAULTS: dict[str, str] = {
     "ring.v_mag": "0.75",
@@ -21,11 +26,10 @@ DEFAULTS: dict[str, str] = {
     "ring.x": "0.4",
     "sweep.n_phi": "720",
     "sweep.lambda_list": "0, 0.25, 0.5, 0.75, 1",
-    "output.dir": "out",
-    "seed": "12345",
 }
 
-KNOWN_KEYS = frozenset(DEFAULTS) | {"ring.rho"}
+DEFAULT_OUT_DIR = "out"
+DEFAULT_SEED = 12345
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class RunConfig:
     """Validated run parameters.
 
     The ring checks itself when it is built; the other fields are checked
-    here, so ``dataclasses.replace`` re-checks every override.
+    here.
     """
 
     ring: RingParams
@@ -63,7 +67,7 @@ def _parse_pairs(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -87,61 +91,40 @@ def _get_int(pairs: dict[str, str], key: str) -> int:
         raise ConfigError(f"{key}: not an integer: {pairs[key]!r}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, out_dir: str = DEFAULT_OUT_DIR, seed: int = DEFAULT_SEED) -> RunConfig:
     """Parse configuration text into validated run parameters.
 
     Raises ConfigError for syntax and type problems and ValidityError when
     a well-formed value violates a model invariant.
     """
-    user = _parse_pairs(text)
-    if "ring.rho" in user and "ring.x" in user:
-        raise ConfigError("set either ring.rho or ring.x, not both")
-
-    pairs = dict(DEFAULTS)
-    if "ring.rho" in user:
-        del pairs["ring.x"]
-    pairs.update(user)
-
+    pairs = {**DEFAULTS, **_parse_pairs(text)}
     v_mag = _get_float(pairs, "ring.v_mag")
     eps_d = _get_float(pairs, "ring.eps_d")
-    if "ring.rho" in pairs:
-        ring = RingParams(v_mag=v_mag, eps_d=eps_d, rho=_get_float(pairs, "ring.rho"))
-    else:
-        ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d)
-
+    ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d)
     try:
         lambda_list = tuple(float(s) for s in pairs["sweep.lambda_list"].split(","))
     except ValueError as exc:
         raise ConfigError(
             f"sweep.lambda_list: not a comma-separated number list: {pairs['sweep.lambda_list']!r}"
         ) from exc
-
     return RunConfig(
         ring=ring,
         n_phi=_get_int(pairs, "sweep.n_phi"),
         lambda_list=lambda_list,
-        out_dir=pairs["output.dir"],
-        seed=_get_int(pairs, "seed"),
+        out_dir=out_dir,
+        seed=seed,
     )
 
 
 def load_config(
-    path: str | None,
-    out_dir: str | None = None,
-    seed: int | None = None,
+    path: str | None, out_dir: str = DEFAULT_OUT_DIR, seed: int = DEFAULT_SEED
 ) -> RunConfig:
-    """Load a config file (or pure defaults) with optional CLI overrides."""
+    """Load a config file (or pure defaults) with the output directory and seed."""
     if path is None:
-        cfg = parse_config("")
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        cfg = parse_config(text)
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+        return parse_config("", out_dir, seed)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config(text, out_dir, seed)

@@ -246,7 +246,10 @@ class ThermalConfig:
         step = 2.0 * half / n
         mids = -half + step * (np.arange(n) + 0.5)
         arg = np.minimum(np.abs(mids / (2.0 * kt)), 350.0)
-        weights = step / (4.0 * kt * np.cosh(arg) ** 2)
+        # A denominator that overflows belongs to a weight below about 1e-300
+        # of the peak weight, which rounds away in the mass and the average.
+        with np.errstate(over="ignore"):
+            weights = step / (4.0 * kt * np.cosh(arg) ** 2)
         mass = float(np.sum(weights))
         if not abs(mass - 1.0) <= WEIGHT_MASS_TOL:
             raise ValidityError(

@@ -136,7 +136,8 @@ class TestSweepLambda:
     def test_warns_like_sweep_phase_when_values_leave_unit_interval(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
-            "ring.rho = 0.2\nsweep.n_phi = 64\nsweep.lambda_list = 0, 0.1, 0.333, 0.9, 1\n",
+            "ring.x = 0.6283185307179586\nsweep.n_phi = 64\n"
+            "sweep.lambda_list = 0, 0.1, 0.333, 0.9, 1\n",
             encoding="utf-8",
         )
         assert main(["sweep-phase", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
@@ -257,7 +258,7 @@ class TestRigidity:
 
 
 class TestFlags:
-    """Each command takes only the overrides it reads."""
+    """Each command takes only the flags it reads."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -284,6 +285,18 @@ class TestFlags:
         args = build_parser().parse_args(["verify", "--seed", "777"])
         assert args.seed == 777
 
+    def test_flags_and_their_defaults_set_out_dir_and_seed(self, tmp_path, monkeypatch):
+        import abring.cli as cli_mod
+
+        seeds = []
+        monkeypatch.setattr(cli_mod, "run_all", lambda ring, seed: seeds.append(seed) or [])
+        assert main(["verify"]) == 0
+        assert main(["verify", "--seed", "7"]) == 0
+        assert seeds == [12345, 7]
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-phase"]) == 0
+        assert (tmp_path / "out" / "phase_sweep.csv").exists()
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
@@ -301,6 +314,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: line 1: unknown key 'ring.w_mag'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["ring.rho = 0.2", "output.dir = somewhere", "seed = 7"])
+    def test_run_setting_key_is_config_error(self, tmp_path, capsys, line):
+        # ring.x is the one coupling key; --out and --seed set the rest.
+        cfg = tmp_path / "setting.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep-phase", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = line.partition(" =")[0]
+        assert captured.err == f"config error: line 1: unknown key '{key}'\n"
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -331,7 +357,7 @@ class TestExitCodes:
             ("ring.eps_d = inf", "eps_d"),
             ("ring.eps_d = -inf", "eps_d"),
             ("ring.x = inf", "x"),
-            ("ring.rho = nan", "rho"),
+            ("ring.x = nan", "x"),
             ("sweep.lambda_list = 0, nan", "sweep.lambda_list"),
             ("ring.x = 1e-155", "parameters"),  # x*x subnormal: dot_arm_rms overflows
             ("ring.x = 1e-170", "parameters"),  # x*x == 0
@@ -367,3 +393,23 @@ class TestExitCodes:
         assert err.startswith(f"validity error: phase grid of {n_phi} points")
         assert err.count("\n") == 1
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["sweep-phase", "sweep-lambda"])
+    def test_sweep_out_of_memory_is_validity_error(self, tmp_path, monkeypatch, capsys, command):
+        import abring.cli as cli_mod
+
+        def exhausted(*args):
+            raise MemoryError(
+                "Unable to allocate 2.24 GiB for an array with shape (5, 60000000) "
+                "and data type float64"
+            )
+
+        monkeypatch.setattr(cli_mod, "sweep_phase", exhausted)
+        monkeypatch.setattr(cli_mod, "sweep_lambda", exhausted)
+        assert main([command, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "validity error: run does not fit in memory: Unable to allocate 2.24 GiB "
+            "for an array with shape (5, 60000000) and data type float64\n"
+        )
+        assert "Traceback" not in err

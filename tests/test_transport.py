@@ -393,6 +393,14 @@ class TestThermal:
             with pytest.raises(ValidityError, match="overflows the float range"):
                 ThermalConfig(temperature=1e308)
 
+    def test_wide_window_builds_without_overflow_warning(self):
+        # cosh^2 overflows in the far tails; those weights round to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = ThermalConfig(temperature=1e5, energy_window=1000.0, quadrature_points=4096)
+        assert cfg._mass.hex() == "0x1.ffffffffffffcp-1"
+        assert np.count_nonzero(cfg._weights == 0.0) == 1236
+
     @pytest.mark.parametrize("points", [100.5, 128.0, True, "128", None])
     def test_non_integer_point_count_rejected(self, points):
         # 100.5 points would sum 101 midpoints over a window sized for 100.5.
