@@ -1,12 +1,15 @@
 """Command-line front end: sweeps, verification, and rigidity reports.
 
-Outputs are deterministic for a fixed config and seed: CSV files carry 17
-significant digits with LF line endings, and the SVG plots are rendered
-by the in-package writer.  Exit codes: 0 success, 2 config error (an
-unreadable or malformed config file, or an output directory that cannot
-be written), 3 validity violation (including a sweep that does not fit in
-memory), 4 verification failure, 5 verification unresolved (no suite
-failed, but at least one could not decide at this config).
+Outputs are deterministic for a fixed config and seed: CSV files carry
+each value as ``'%.17g' % v`` with LF line endings, formatted in bulk and
+byte for byte as per-value ``%`` would (``_text``; zeros, nan, infinities
+and ``|v|`` below ``1e-4`` or from ``1e16`` on take the per-value ``%``),
+and the SVG plots are rendered by the in-package writer.  Exit codes:
+0 success, 2 config error (an unreadable or malformed config file, or an
+output directory that cannot be written), 3 validity violation
+(including a sweep that does not fit in memory), 4 verification failure,
+5 verification unresolved (no suite failed, but at least one could not
+decide at this config).
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import sys
 import warnings
 from typing import Sequence
 
-import numpy as np
 from numpy.typing import ArrayLike
 
+from . import _text
 from .config import DEFAULT_OUT_DIR, DEFAULT_SEED, RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
@@ -40,13 +43,14 @@ EXIT_UNRESOLVED = 5
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[ArrayLike]) -> None:
     """Write equal-length columns as rows of ``%.17g`` values.
 
-    Rows are streamed: the file is never held as one string.
+    The values are formatted in bulk, byte for byte as per-value ``%``
+    would (see ``_text``), and streamed in chunks of rows: the file is
+    never held as one string.
     """
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.__mod__, zip(*cols)))
+    seps = b"," * (len(columns) - 1) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        fh.writelines(_text.rows(columns, "%.17g", seps))
 
 
 def _warn_out_of_range(lam: float, bad: int) -> None:

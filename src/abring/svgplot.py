@@ -4,7 +4,12 @@ Hand-rolled polylines instead of a plotting library so repeated runs with
 the same inputs produce byte-identical files.  CSV output remains the
 artifact of record; these plots are a quick visual check only.
 
-Polyline coordinates are computed on whole arrays and formatted ``%.2f``.
+Polyline coordinates are computed on whole arrays and formatted in bulk,
+byte for byte as per-value ``'%.2f' % v`` would format them (``_text``; a
+coordinate that is negative, nan or at least ``1e5`` takes the per-value
+``%``).  The document goes to the open file piece by piece, so no
+polyline is ever held as a string.
+
 The array expressions must keep the scalar operation order,
 ``MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w``: elementwise IEEE
 ``+ - * /`` then gives the same doubles as the per-point scalar form, and
@@ -18,6 +23,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from . import _text
 
 __all__ = ["write_line_plot"]
 
@@ -58,63 +65,55 @@ def write_line_plot(
     def py(v: np.ndarray | float) -> np.ndarray | float:
         return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * inner_h
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-    ]
-    axis_color = "#333333"
-    out.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" height="{inner_h}" '
-        f'fill="none" stroke="{axis_color}" stroke-width="1"/>'
-    )
-    for tick in np.linspace(x_lo, x_hi, N_TICKS):
-        tx = px(tick)
-        out.append(
-            f'<line x1="{tx:.2f}" y1="{MARGIN_T + inner_h}" x2="{tx:.2f}" '
-            f'y2="{MARGIN_T + inner_h + 5}" stroke="{axis_color}" stroke-width="1"/>'
+    with open(path, "wb") as fh:
+
+        def put(*lines: str) -> None:
+            fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+
+        axis_color = "#333333"
+        put(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{title}</text>',
+            f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" height="{inner_h}" '
+            f'fill="none" stroke="{axis_color}" stroke-width="1"/>',
         )
-        out.append(
-            f'<text x="{tx:.2f}" y="{MARGIN_T + inner_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
+        for tick in np.linspace(x_lo, x_hi, N_TICKS):
+            tx = px(tick)
+            put(
+                f'<line x1="{tx:.2f}" y1="{MARGIN_T + inner_h}" x2="{tx:.2f}" '
+                f'y2="{MARGIN_T + inner_h + 5}" stroke="{axis_color}" stroke-width="1"/>',
+                f'<text x="{tx:.2f}" y="{MARGIN_T + inner_h + 20}" text-anchor="middle" '
+                f'font-family="sans-serif" font-size="11">{tick:.4g}</text>',
+            )
+        for tick in np.linspace(y_lo, y_hi, N_TICKS):
+            ty = py(tick)
+            put(
+                f'<line x1="{MARGIN_L - 5}" y1="{ty:.2f}" x2="{MARGIN_L}" y2="{ty:.2f}" '
+                f'stroke="{axis_color}" stroke-width="1"/>',
+                f'<text x="{MARGIN_L - 9}" y="{ty + 4:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="11">{tick:.4g}</text>',
+            )
+        put(
+            f'<text x="{MARGIN_L + inner_w / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13">{xlabel}</text>',
+            f'<text x="18" y="{MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13" '
+            f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>',
         )
-    for tick in np.linspace(y_lo, y_hi, N_TICKS):
-        ty = py(tick)
-        out.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{ty:.2f}" x2="{MARGIN_L}" y2="{ty:.2f}" '
-            f'stroke="{axis_color}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_L - 9}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
-        )
-    out.append(
-        f'<text x="{MARGIN_L + inner_w / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>'
-    )
-    x_px = px(x)  # converted per series: a list held across them costs more peak memory
-    for i, (y, label) in enumerate(zip(ys, labels)):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(x_px.tolist(), py(y).tolist())))
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        ly = MARGIN_T + 14 + 16 * i
-        lx = MARGIN_L + inner_w - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
-        )
-    out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        x_px = px(x)
+        for i, (y, label) in enumerate(zip(ys, labels)):
+            color = PALETTE[i % len(PALETTE)]
+            fh.write(b'<polyline points="')
+            fh.writelines(_text.rows([x_px, py(y)], "%.2f", b", ", end=b""))
+            ly = MARGIN_T + 14 + 16 * i
+            lx = MARGIN_L + inner_w - 150
+            put(
+                f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="1.5"/>',
+                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>',
+            )
+        put("</svg>")

@@ -28,6 +28,10 @@ class TestWriteCsv:
     ADVERSARIAL = [
         -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1.0 / 3.0,
         2.0**53 + 2.0, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+        # where the bulk %.17g range ends, and values that leave it
+        1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+        math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+        -0.5, -1e-5, 9.999999999999998e15,
     ]
 
     def test_bytes_equal_per_value_fstrings(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,3 +80,18 @@ def test_positional_signature(tmp_path):
     path = tmp_path / "p.svg"
     write_line_plot(str(path), [0.0, 1.0], [[0.0, 1.0]], ["a"], "t", "x", "y")
     assert len(POINTS.findall(path.read_text(encoding="utf-8"))) == 1
+
+
+def test_document_is_streamed(tmp_path):
+    x = np.linspace(0.0, 2.0 * np.pi, 100_000)
+    series = list(np.random.default_rng(5).normal(0.4, 0.2, (5, x.size)))
+    path = tmp_path / "big.svg"
+    tracemalloc.start()
+    try:
+        write_line_plot(str(path), x, series, list("abcde"), "title", "x", "y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Holding the document as one string, or its polylines as a list of
+    # strings, costs more than the whole file.
+    assert peak < path.stat().st_size / 2
