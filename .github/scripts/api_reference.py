@@ -4,14 +4,18 @@ Usage, with the ``src`` to test on ``PYTHONPATH``::
 
     python .github/scripts/api_reference.py OUT_DIR
 
-Saves three arrays with ``np.save``: ``oracle.npy`` holds the exact and
+Saves four arrays with ``np.save``: ``oracle.npy`` holds the exact and
 second-order amplitudes and the truncation residual at 200 seeded draws.
 ``thermal.npy`` holds the thermal transmission at the reference ring over
 64 phases and three temperatures, with the default 128-point quadrature.
 ``thermal_strong.npy`` holds the same at a second ring, with x > 1 and a
 dot level below the Fermi energy, and the benchmark's 256-point
-quadrature.  Names are imported from their defining modules, so the same
-script runs against an older ``src`` to compare outputs byte for byte.
+quadrature.  ``energy_resolved.npy`` holds the exact amplitudes of a
+``|V| = 1e-3`` ring at three phases, on energies across its resonance
+(``eps_d`` itself included), where the dot's Schur complement nearly
+cancels, and at ``E = -1e300`` and ``1e300``.  Names are imported from
+their defining modules, so the same script runs against an older ``src``
+to compare outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ SEED = 20240
 N_DRAWS = 200
 N_PHI = 64
 TEMPERATURES = (0.02, 0.1, 0.3)
+RESONANCE_PHASES = (0.0, 0.7, 2.5)
 
 
 def _draw_ring(rng: np.random.Generator) -> RingParams:
@@ -75,6 +80,15 @@ def thermal_values(ring: RingParams, quadrature_points: int) -> np.ndarray:
     return out
 
 
+def energy_resolved_values() -> np.ndarray:
+    """(len(RESONANCE_PHASES), 35) complex amplitudes of a weakly coupled ring."""
+    ring = RingParams.from_x(0.4, 1e-3, 1.25)
+    # 33 energies within 8 widths Gamma of eps_d; the middle one is eps_d.
+    offsets = np.linspace(-8.0, 8.0, 33) * ring.gamma
+    energies = np.concatenate([ring.eps_d + offsets, [-1e300, 1e300]])
+    return np.array([exact_amplitude(ring, phi, energies) for phi in RESONANCE_PHASES])
+
+
 def main(argv: list[str]) -> int:
     (out_dir,) = argv
     os.makedirs(out_dir, exist_ok=True)
@@ -83,6 +97,7 @@ def main(argv: list[str]) -> int:
     np.save(os.path.join(out_dir, "thermal.npy"), thermal_values(reference, 128))
     strong = RingParams.from_x(1.8, 0.9, -1.5)  # Gamma/|eps_d| = 0.23
     np.save(os.path.join(out_dir, "thermal_strong.npy"), thermal_values(strong, 256))
+    np.save(os.path.join(out_dir, "energy_resolved.npy"), energy_resolved_values())
     return 0
 
 

@@ -18,8 +18,18 @@ on its own, and the leftover quantifies the truncation error.
 ``ResolventModel(params, phi)`` is the whole model.  It assembles the
 energy-independent lead-and-hop block of ``g^{-1} - H`` once, from the
 ring, so ``H`` is Hermitian by construction and the only checks are those
-``RingParams`` makes when it is built.  Each solve copies that block and
-writes its energies into the dot entry; the block itself is read-only.
+``RingParams`` makes when it is built.  The energy enters only the dot
+entry, so it reaches the amplitude through one scalar, the dot's Schur
+complement ``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from
+the lead block ``B`` and the dot hops ``c`` and ``r``.  A model makes one
+LAPACK solve, at ``E = 0``, and inverts the 2x2 ``B`` by its adjugate;
+every energy after that is arithmetic,
+
+    A(E) = A(0) - N u_R w_L E / (S(E) S(0)),   u = B^{-1} c,  w = r B^{-1},
+
+which is exact, since ``G_RL(E) - G_RL(0) = u_R w_L (1/S(E) - 1/S(0))``.
+An energy must be finite (``ValidityError``); ``S(E) = 0``, which only a
+dot without coupling reaches, at ``E = eps_d``, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import ValidityError
 from .ring import RingParams, amplitude_t0, amplitude_t1
 
 __all__ = [
@@ -40,10 +51,9 @@ __all__ = [
 ]
 
 
-# Unit source at L, a read-only (3, 1) column.  Each solve broadcasts it to
-# the ndim of its matrix stack: numpy < 2 reads a source with one dimension
-# fewer than the stack as a stack of vectors, which a (3, 1) column against
-# an (N, 3, 3) stack would be.
+# Unit source at L, a read-only (3, 1) column with the ndim of the one
+# (3, 3) matrix it is solved against: numpy < 2 reads a source with one
+# dimension fewer than its matrix stack as a stack of vectors.
 _SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
 _SOURCE.flags.writeable = False
 
@@ -56,6 +66,13 @@ class ResolventModel:
     phi: float
     # g^{-1} - H without the dot entry's energy; read-only, built once.
     _block: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
+    # Energy-independent pieces of the amplitude, solved once: the E = 0
+    # amplitude, the numerator N u_R w_L of its energy term, the dot's
+    # self-energy Sigma = r B^{-1} c and S0 = -eps_d - Sigma.
+    _amp0: complex = field(init=False, repr=False, compare=False)
+    _k: complex = field(init=False, repr=False, compare=False)
+    _sigma: complex = field(init=False, repr=False, compare=False)
+    _s0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
@@ -70,31 +87,57 @@ class ResolventModel:
         block.flags.writeable = False
         object.__setattr__(self, "_block", block)
 
+        # The model's one LAPACK call: inject at L, read out at R, at E = 0.
+        col = np.linalg.solve(self._inverse_propagator(0.0), _SOURCE)[..., 1, 0]
+        # The lead block B has det = -(1/(pi rho))^2 - 1, never 0, so its 2x2
+        # adjugate inverts it.  With c and r the dot's hops, u = B^{-1} c,
+        # w = r B^{-1} and Sigma = r u.
+        (b00, b01, c0), (b10, b11, c1), (r0, r1, _) = block.tolist()
+        det = b00 * b11 - b01 * b10
+        u0 = (b11 * c0 - b01 * c1) / det
+        u1 = (b00 * c1 - b10 * c0) / det
+        w0 = (r0 * b11 - r1 * b10) / det
+        sigma = r0 * u0 + r1 * u1
+        n = self.norm_const
+        object.__setattr__(self, "_amp0", complex(n * col))
+        object.__setattr__(self, "_k", n * u1 * w0)
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_s0", -p.eps_d - sigma)
+
     @property
     def norm_const(self) -> complex:
         """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
         return 2j / (np.pi * self.params.rho)
 
-    def _inverse_propagator(self, energy) -> NDArray[np.complex128]:
-        """g^{-1} - H for one energy or a stack of energies, as a fresh array."""
-        energy = np.asarray(energy, dtype=float)
-        a = np.empty(energy.shape + (3, 3), dtype=complex)
-        a[...] = self._block
-        a[..., 2, 2] = energy - self.params.eps_d
+    def _inverse_propagator(self, energy: float) -> NDArray[np.complex128]:
+        """g^{-1} - H at one energy, as a fresh array."""
+        a = self._block.copy()
+        a[2, 2] = energy - self.params.eps_d
         return a
 
     def amplitude(self, energy):
-        """Normalized L -> R resolvent element; exact in all hop orders."""
-        scalar = np.ndim(energy) == 0
-        try:
-            # Inject at L, read out at R.
-            a = self._inverse_propagator(energy)
-            b = _SOURCE if a.ndim == 2 else np.broadcast_to(_SOURCE, a.shape[:-1] + (1,))
-            col = np.linalg.solve(a, b)[..., 1, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"resolvent singular at energy {energy!r}") from exc
-        out = self.norm_const * col
-        return complex(out[()]) if scalar else out
+        """Normalized L -> R resolvent element; exact in all hop orders.
+
+        The energy enters only the dot entry, so the Schur complement
+        ``S(E) = (E - eps_d) - Sigma`` carries all of it and
+        ``A(E) = A(0) - N u_R w_L E / (S(E) S0)``: arithmetic on the
+        energies, with no solve per energy.
+        """
+        shape = np.shape(energy)
+        if shape == () and energy == 0:  # the Fermi energy, as solved
+            return self._amp0
+        # Flat, so that a single energy takes the same array arithmetic as
+        # a stack (numpy's scalar complex multiply rounds differently).
+        e = np.asarray(energy, dtype=float).reshape(-1)
+        finite = np.isfinite(e)
+        if not finite.all():
+            raise ValidityError(f"energy must be finite, got {e[~finite][0]}")
+        s = (e - self.params.eps_d) - self._sigma
+        if not s.all():  # only |V| = 0 at E = eps_d
+            raise ValueError(f"resolvent singular at energy {float(e[s == 0][0])!r}")
+        # E = 0 keeps the solve's bits: amp0 - 0 would turn a -0.0 into 0.0.
+        out = np.where(e == 0, self._amp0, self._amp0 - self._k * (e / s) / self._s0)
+        return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def exact_amplitude(params: RingParams, phi: float, energy=0.0):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from abring import RingParams, energy_resolved_transmission, exact_amplitude, truncation_residual
+from abring import (
+    RingParams,
+    ValidityError,
+    energy_resolved_transmission,
+    exact_amplitude,
+    truncation_residual,
+)
 from abring.oracle import ResolventModel, second_order_amplitude
 from abring.ring import amplitude_t0, amplitude_t1
 from test_ring import random_valid_ring
@@ -98,10 +104,36 @@ class TestExactAmplitude:
             worst = max(worst, abs(exact_amplitude(p, phi, energy)) ** 2)
         assert worst <= 1.0 + 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_energy_rejected(self):
+        # S(E) = 0 only without dot coupling at E = eps_d; no RuntimeWarning
+        # comes first.
         p = RingParams(v_mag=0.0, eps_d=1.25)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
             exact_amplitude(p, 0.0, energy=1.25)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("energy", [[0.5, 1.25, 0.7, 1.25], np.full((2, 3), 1.25)])
+    def test_singular_energy_in_a_stack_rejected(self, energy):
+        # A stack names its first singular energy alone.
+        p = RingParams(v_mag=0.0, eps_d=1.25)
+        with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
+            exact_amplitude(p, 0.0, energy=energy)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "energy, named",
+        [
+            (np.nan, "nan"),
+            (np.inf, "inf"),
+            (-np.inf, "-inf"),
+            ([0.1, 0.2, np.nan, np.inf], "nan"),
+            ([[0.1, -np.inf], [np.nan, 0.0]], "-inf"),
+        ],
+    )
+    def test_non_finite_energy_rejected(self, ref_ring, energy, named):
+        with pytest.raises(ValidityError, match=f"^energy must be finite, got {named}$"):
+            exact_amplitude(ref_ring, 0.3, energy)
 
     def test_vectorized_energies_match_scalars(self, ref_ring):
         energies = np.linspace(-0.5, 0.5, 9)
@@ -121,8 +153,11 @@ class TestExactAmplitude:
 
     @pytest.mark.parametrize("energy", [0.1, np.linspace(-0.3, 0.3, 5), np.zeros((2, 3))])
     def test_source_has_the_ndim_of_its_matrix_stack(self, monkeypatch, ref_ring, energy):
-        # numpy < 2 solves a source with one dimension fewer than the stack
-        # as a stack of vectors; equal ndim takes the matrix path everywhere.
+        # Every energy goes through the Schur complement, so a model makes
+        # one LAPACK call, on a stack of one, however many stacks follow.
+        # numpy < 2 solves a source with one dimension fewer than the
+        # matrix as a stack of vectors; equal ndim takes the matrix path
+        # everywhere.
         solve, seen = np.linalg.solve, []
 
         def checked_solve(a, b):
@@ -130,10 +165,10 @@ class TestExactAmplitude:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", checked_solve)
-        ResolventModel(ref_ring, 0.8).amplitude(energy)
-        (a_shape, b_shape), = seen
-        assert a_shape == np.shape(energy) + (3, 3)
-        assert b_shape == np.shape(energy) + (3, 1)
+        model = ResolventModel(ref_ring, 0.8)
+        for stack in (energy, 0.0, np.ones(256), energy):
+            model.amplitude(stack)
+        assert seen == [((3, 3), (3, 1))]
 
     def test_model_block_is_never_written(self, rng):
         # One model solved at two energy stacks in turn equals fresh models.
@@ -150,6 +185,62 @@ class TestExactAmplitude:
     def test_model_compares_by_ring_and_phase(self, ref_ring):
         assert ResolventModel(ref_ring, 0.8) == ResolventModel(ref_ring, 0.8)
         assert repr(ResolventModel(ref_ring, 0.8)).endswith("phi=0.8)")
+
+
+@pytest.mark.filterwarnings("error")
+class TestSchurComplement:
+    """The energy route against one LAPACK solve per energy."""
+
+    SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+
+    def per_energy(self, model, energies):
+        solves = (np.linalg.solve(model._inverse_propagator(e), self.SOURCE) for e in energies)
+        return np.array([model.norm_const * g[1, 0] for g in solves])
+
+    @staticmethod
+    def weakly_coupled_ring(rng):
+        """Ring with |V| log-uniform in [1e-5, 1], off-resonance guard waived."""
+        eps_d = (1.0 if rng.random() < 0.5 else -1.0) * rng.uniform(0.3, 5.0)
+        v, rho = 10.0 ** rng.uniform(-5.0, 0.0), rng.uniform(0.05, 3.0) / np.pi
+        return RingParams(v_mag=v, eps_d=eps_d, rho=rho, validate_off_resonance=False)
+
+    def test_matches_per_energy_solve(self, rng):
+        worst = 0.0
+        for k in range(200):
+            p = random_valid_ring(rng) if k % 2 else self.weakly_coupled_ring(rng)
+            model = ResolventModel(p, rng.uniform(-np.pi, np.pi))
+            energies = np.concatenate([rng.uniform(-0.5, 0.5, 16), [p.eps_d, 0.0, 1e300, -1e300]])
+            got, direct = model.amplitude(energies), self.per_energy(model, energies)
+            worst = max(worst, np.max(np.abs(got - direct) / np.abs(direct)))
+        assert worst < 1e-13
+
+    def test_largest_energies_decouple_the_dot(self, rng):
+        # At |E| = 1.7e308 the amplitude is the dot-decoupled t0 up to
+        # O(|V|^2 / |E|).  The per-energy solve is not a reference there: it
+        # loses the whole amplitude (returns 0) for some rings.
+        for k in range(200):
+            p = random_valid_ring(rng) if k % 2 else self.weakly_coupled_ring(rng)
+            phi = rng.uniform(-np.pi, np.pi)
+            got = ResolventModel(p, phi).amplitude(np.array([1.7e308, -1.7e308]))
+            assert_allclose(got, complex(amplitude_t0(p, phi)), rtol=1e-13)
+
+    def test_fermi_energy_amplitude_is_the_direct_solve(self, rng):
+        # Alone or in a stack.  Signed zeros count: without the dot, some
+        # quarter-turn phases give a real part of -0.0.
+        decoupled = [
+            (RingParams(v_mag=0.0, eps_d=1.25, rho=rho), phi)
+            for rho in (0.1, 0.7)
+            for phi in np.pi * np.arange(-1.0, 1.25, 0.25)
+        ]
+        draw = self.weakly_coupled_ring
+        rings = (random_valid_ring(rng) if k % 2 else draw(rng) for k in range(2000))
+        drawn = [(p, rng.uniform(-np.pi, np.pi)) for p in rings]
+        for p, phi in decoupled + drawn:
+            model = ResolventModel(p, phi)
+            a = model._inverse_propagator(0.0)
+            direct = complex(model.norm_const * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
+            for got in (model.amplitude(0.0), model.amplitude(np.array([0.3, 0.0]))[1]):
+                assert np.complex128(got).tobytes() == np.complex128(direct).tobytes()
 
 
 class TestEnergyResolved:
