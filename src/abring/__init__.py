@@ -10,11 +10,7 @@ from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .oracle import energy_resolved_transmission, exact_amplitude, truncation_residual
 from .ring import RingParams
 from .smatrix import (
-    reciprocal_from_generator,
-    rigidity_report,
-    seeded_generator,
-    symmetric_phi_grid,
-    transmission_from_s,
+    reciprocal_from_generator, rigidity_report, seeded_generator, symmetric_phi_grid
 )
 from .transport import ThermalConfig, sweep_phase, thermal_transmission, transmission, visibility
 
@@ -35,7 +31,6 @@ __all__ = [
     "symmetric_phi_grid",
     "thermal_transmission",
     "transmission",
-    "transmission_from_s",
     "truncation_residual",
     "visibility",
 ]

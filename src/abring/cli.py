@@ -177,12 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, func, help_text in commands:
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", metavar="PATH", default=None, help="config file path")
+        if func is not cmd_rigidity:  # rigidity reads no config key
+            sp.add_argument("--config", metavar="PATH", help="config file path")
         if func is not cmd_verify:  # verify writes no files
             sp.add_argument("--out", metavar="DIR", help="output directory (default: %(default)s)")
         if func in (cmd_verify, cmd_rigidity):  # the sweeps draw no seed
             sp.add_argument("--seed", metavar="INT", type=int, help="seed (default: %(default)s)")
-        sp.set_defaults(func=func, out=DEFAULT_OUT_DIR, seed=DEFAULT_SEED)
+        sp.set_defaults(func=func, config=None, out=DEFAULT_OUT_DIR, seed=DEFAULT_SEED)
     return parser
 
 

@@ -28,12 +28,14 @@ every energy after that is arithmetic,
     A(E) = A(0) - N u_R w_L E / (S(E) S(0)),   u = B^{-1} c,  w = r B^{-1},
 
 which is exact, since ``G_RL(E) - G_RL(0) = u_R w_L (1/S(E) - 1/S(0))``.
-An energy must be finite (``ValidityError``); ``S(E) = 0``, which only a
-dot without coupling reaches, at ``E = eps_d``, is a ``ValueError``.
+An energy, its detuning ``E - eps_d`` and ``E / S(E)`` must be finite
+(``ValidityError``); ``S(E) = 0``, which only a dot whose ``Sigma`` is 0
+reaches, at ``E = eps_d``, is a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +114,21 @@ class ResolventModel:
     def _inverse_propagator(self, energy: float) -> NDArray[np.complex128]:
         """g^{-1} - H at one energy, as a fresh array."""
         a = self._block.copy()
-        a[2, 2] = energy - self.params.eps_d
+        a[2, 2] = detuning = float(energy) - self.params.eps_d  # Python floats: no warning
+        if not math.isfinite(detuning):
+            raise self._energy_error(float(energy))
         return a
+
+    def _energy_error(self, energy: float) -> ValueError:
+        """Why ``energy`` has no finite amplitude (see the module docstring)."""
+        if not math.isfinite(energy):
+            return ValidityError(f"energy must be finite, got {energy}")
+        detuning = energy - self.params.eps_d  # Python floats: no warning
+        if not math.isfinite(detuning):
+            return ValidityError(f"the detuning E - eps_d overflows at energy {energy!r}")
+        if detuning - self._sigma == 0:
+            return ValueError(f"resolvent singular at energy {energy!r}")
+        return ValidityError(f"E / S(E) overflows at energy {energy!r}")
 
     def amplitude(self, energy):
         """Normalized L -> R resolvent element; exact in all hop orders.
@@ -129,14 +144,16 @@ class ResolventModel:
         # Flat, so that a single energy takes the same array arithmetic as
         # a stack (numpy's scalar complex multiply rounds differently).
         e = np.asarray(energy, dtype=float).reshape(-1)
-        finite = np.isfinite(e)
-        if not finite.all():
-            raise ValidityError(f"energy must be finite, got {e[~finite][0]}")
-        s = (e - self.params.eps_d) - self._sigma
-        if not s.all():  # only |V| = 0 at E = eps_d
-            raise ValueError(f"resolvent singular at energy {float(e[s == 0][0])!r}")
+        with np.errstate(all="ignore"):  # every inf and nan is rejected below
+            s = (e - self.params.eps_d) - self._sigma
+            r = e / s
+            # One pass finds every bad energy: s + r is finite exactly when
+            # both are, since |s| |r| = |e| keeps a finite sum from overflow.
+            ok = np.isfinite(np.add(s, r, out=s))  # in place: s is spent
+        if not ok.all():
+            raise self._energy_error(float(e[np.argmin(ok)]))  # the first bad energy
         # E = 0 keeps the solve's bits: amp0 - 0 would turn a -0.0 into 0.0.
-        out = np.where(e == 0, self._amp0, self._amp0 - self._k * (e / s) / self._s0)
+        out = np.where(e == 0, self._amp0, self._amp0 - self._k * r / self._s0)
         return complex(out[0]) if shape == () else out.reshape(shape)
 
 

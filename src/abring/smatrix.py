@@ -27,8 +27,8 @@ takes a float array of phases of any shape ``(...)`` (a 0-d array for a
 single phase) and returns a ``(..., d, d)`` stack of matrices, or an array
 that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
 ``TwoParticleSMatrix.at`` checks that S itself is unitary, once per stack,
-and raises ``ValidityError`` naming the phase of the worst defect.
-``validate`` adds reciprocity; ``factorized_s`` checks its detector once.
+and raises ``ValidityError`` naming the phase of the worst defect;
+``factorized_s`` checks its detector once.
 
 One builder serves one family or a stack of them: the seeded builders take
 an int seed or a sequence of seeds.  A sequence of ``n`` seeds adds one
@@ -60,7 +60,6 @@ __all__ = [
     "factorized_s",
     "generic_family",
     "factorized_family",
-    "transmission_from_s",
     "symmetric_phi_grid",
     "rigidity_report",
 ]
@@ -195,13 +194,6 @@ class TwoParticleSMatrix:
         _require_unitary(m, "scattering matrix S(phi)", phi)
         return m
 
-    def validate(self, phis: ArrayLike) -> None:
-        """Check reciprocity on a sample of phases; ``at`` checks unitarity."""
-        phis = np.asarray(phis, dtype=float)
-        m = self.at(phis)
-        recip = np.max(np.abs(m - _transpose(self.at(-phis))), axis=(-2, -1))
-        _check_defect(recip, phis, "reciprocity broken")
-
 
 def _reciprocal(u_of_phi: Family) -> Family:
     def s_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
@@ -274,19 +266,6 @@ def factorized_family(ring_seed: Seeds, detector_seed: Seeds) -> TwoParticleSMat
     return factorized_s(reciprocal_ring_family(ring_seed), random_symmetric_unitary(detector_seed))
 
 
-def _transmission(m: NDArray[np.complex128]) -> NDArray[np.float64]:
-    return _abs2(m[..., 2, 0]) + _abs2(m[..., 3, 0])
-
-
-def transmission_from_s(s: TwoParticleSMatrix, phi: ArrayLike) -> float | NDArray[np.float64]:
-    """Probability of ending in the right lead, |S_31|^2 + |S_41|^2.
-
-    A float for a scalar phase, an array of the phases' shape otherwise.
-    """
-    t = _transmission(s.at(phi))
-    return float(t) if t.ndim == 0 else t
-
-
 def symmetric_phi_grid(n_points: int) -> NDArray[np.float64]:
     """Phases ``pi (2k + 1 - n) / n``: reversed, the grid is its exact negation."""
     if n_points < 2:
@@ -326,7 +305,7 @@ def rigidity_report(s: TwoParticleSMatrix) -> RigidityReport:
     """
     phis = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
     mats = s.at(phis)
-    t_all = _transmission(mats)
+    t_all = _abs2(mats[..., 2, 0]) + _abs2(mats[..., 3, 0])  # |S_31|^2 + |S_41|^2
     t_neg = t_all[..., ::-1]
     s12_minus_s21 = _abs2(mats[..., 0, 1]) - _abs2(mats[..., 1, 0])
     return RigidityReport(

@@ -30,6 +30,11 @@ DIAGRAM_RTOL = 1e-12
 IDENTITY_TOL = 1e-12
 FACTORIZED_TOL = 1e-12
 GENERIC_MIN_ASYMMETRY = 0.01
+CALIBRATION_DRAWS = 1000
+SECOND_ORDER_DRAWS = 100
+DIAGRAM_DRAWS = 1000
+GENERIC_FAMILIES = 1000
+FACTORIZED_FAMILIES = 100
 # Truncation identity tolerance and resolution floor, in units of eps * S
 # (see truncation_suite).  Over 1e5 random points, with |q| up to 230 and
 # |1 - q| down to 3e-7, the gap never exceeded 2.2.
@@ -83,18 +88,18 @@ def _ring_draws(seed: int, n_draws: int):
         yield params, phi, complex(amplitude_t1(params, phi))
 
 
-def calibration_suite(seed: int, n_draws: int = 1000) -> SuiteResult:
+def calibration_suite(seed: int) -> SuiteResult:
     """Dot-decoupled resolvent must equal the direct closed form."""
     rng = np.random.default_rng(seed)
-    gaps = np.empty(n_draws)
-    for k in range(n_draws):
+    gaps = np.empty(CALIBRATION_DRAWS)
+    for k in range(CALIBRATION_DRAWS):
         params = RingParams.from_x(rng.uniform(0.05, 3.0), 0.0, 1.0)
         phi = rng.uniform(-np.pi, np.pi)
         gaps[k] = abs(exact_amplitude(params, phi) - amplitude_t0(params, phi))
     return _report("oracle-calibration", "max |A(V=0) - t0|", gaps, CALIBRATION_TOL)
 
 
-def second_order_suite(seed: int, n_draws: int = 100) -> SuiteResult:
+def second_order_suite(seed: int) -> SuiteResult:
     """Order-V^2 resolvent content must reproduce the single-visit amplitude.
 
     The normalization is the one frozen by the calibration suite; nothing
@@ -102,7 +107,7 @@ def second_order_suite(seed: int, n_draws: int = 100) -> SuiteResult:
     """
     gaps = (
         abs(second_order_amplitude(params, phi) - t1) / abs(t1)
-        for params, phi, t1 in _ring_draws(seed, n_draws)
+        for params, phi, t1 in _ring_draws(seed, SECOND_ORDER_DRAWS)
     )
     return _report("oracle-second-order", "max rel |A2 - t1|", gaps, SECOND_ORDER_RTOL)
 
@@ -161,7 +166,7 @@ def truncation_suite(params: RingParams) -> SuiteResult:
     return SuiteResult("truncation-scaling", bool(worst <= TRUNCATION_TOL), detail)
 
 
-def diagram_sum_suite(seed: int, n_draws: int = 1000) -> SuiteResult:
+def diagram_sum_suite(seed: int) -> SuiteResult:
     """The four (entry, exit) path classes must resum to the closed form.
 
     Gaps are relative to the classes' magnitude sum, ``2 |Gamma/eps_d|
@@ -170,7 +175,7 @@ def diagram_sum_suite(seed: int, n_draws: int = 1000) -> SuiteResult:
     gaps = (
         abs(diagram_components(p, phi).total - t1)
         / (2.0 * abs(p.gamma / p.eps_d) * (1.0 + p.x) ** 2 / (1.0 + p.x**2))
-        for p, phi, t1 in _ring_draws(seed, n_draws)
+        for p, phi, t1 in _ring_draws(seed, DIAGRAM_DRAWS)
     )
     return _report("diagram-sum", "max |sum - t1| / sum |c|", gaps, DIAGRAM_RTOL)
 
@@ -193,15 +198,15 @@ def _family_maxima(
     return worst, phase
 
 
-def _family_case(seed: int, k: int, n_generic: int) -> str:
+def _family_case(seed: int, k: int) -> str:
     """The seeds of family ``k`` of ``rigidity_suite``: generic families come first."""
-    if k < n_generic:
+    if k < GENERIC_FAMILIES:
         return f"generic seed {seed + k}"
-    k -= n_generic
+    k -= GENERIC_FAMILIES
     return f"factorized seeds ({seed + 10_000 + k}, {seed + 20_000 + k})"
 
 
-def rigidity_suite(seed: int, n_families: int = 1000, n_factorized: int = 100) -> SuiteResult:
+def rigidity_suite(seed: int) -> SuiteResult:
     """Theorem identity, factorized rigidity, and generic rigidity breaking.
 
     Family ``k`` has seed ``seed + k`` (generic) or seeds ``seed + 10000 + k``
@@ -209,13 +214,13 @@ def rigidity_suite(seed: int, n_families: int = 1000, n_factorized: int = 100) -
     family and phase of the worst identity residual and factorized asymmetry.
     """
     generic, generic_phase = _family_maxima(
-        lambda ks: generic_family([seed + k for k in ks]), n_families
+        lambda ks: generic_family([seed + k for k in ks]), GENERIC_FAMILIES
     )
     factorized, factorized_phase = _family_maxima(
         lambda ks: factorized_family(
             [seed + 10_000 + k for k in ks], [seed + 20_000 + k for k in ks]
         ),
-        n_factorized,
+        FACTORIZED_FAMILIES,
     )
     identity = np.concatenate([generic[:, 0], factorized[:, 0]])
     worst_identity = _worst(identity)
@@ -234,9 +239,8 @@ def rigidity_suite(seed: int, n_families: int = 1000, n_factorized: int = 100) -
         phases = np.concatenate([generic_phase[:, 0], factorized_phase[:, 0]])
         k, j = int(np.argmax(identity)), int(np.argmax(factorized[:, 1]))
         detail += (
-            f"; worst identity residual at {_family_case(seed, k, n_families)}, "
-            f"phi={float(phases[k])!r}"
-            f"; worst factorized asymmetry at {_family_case(seed, n_families + j, n_families)}, "
+            f"; worst identity residual at {_family_case(seed, k)}, phi={float(phases[k])!r}"
+            f"; worst factorized asymmetry at {_family_case(seed, GENERIC_FAMILIES + j)}, "
             f"phi={float(factorized_phase[j, 1])!r}"
         )
     return SuiteResult("rigidity-theorem", passed, detail)

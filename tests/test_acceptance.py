@@ -89,7 +89,7 @@ def test_criterion_03_double_slit_contrast(ring):
 
 def test_criterion_04_oracle_calibration():
     start = time.perf_counter()
-    suite = calibration_suite(seed=7, n_draws=1000)
+    suite = calibration_suite(seed=7)
     elapsed = time.perf_counter() - start
     _report(4, "oracle calibration identity", suite.passed and elapsed < 1.0,
             f"{suite.detail}, {elapsed:.2f}s")
@@ -97,7 +97,7 @@ def test_criterion_04_oracle_calibration():
 
 def test_criterion_05_second_order_validation():
     start = time.perf_counter()
-    suite = second_order_suite(seed=11, n_draws=100)
+    suite = second_order_suite(seed=11)
     elapsed = time.perf_counter() - start
     _report(5, "no-free-parameter dot amplitude", suite.passed and elapsed < 5.0,
             f"{suite.detail}, {elapsed:.2f}s")
@@ -118,13 +118,13 @@ def test_criterion_06_truncation_scaling(ring):
 
 
 def test_criterion_07_diagram_sum():
-    suite = diagram_sum_suite(seed=13, n_draws=1000)
+    suite = diagram_sum_suite(seed=13)
     _report(7, "diagram-sum identity", suite.passed, suite.detail)
 
 
 def test_criterion_08_rigidity_theorem():
     start = time.perf_counter()
-    suite = rigidity_suite(seed=17, n_families=1000, n_factorized=100)
+    suite = rigidity_suite(seed=17)
     elapsed = time.perf_counter() - start
     _report(8, "rigidity theorem suite", suite.passed and elapsed < 10.0,
             f"{suite.detail}, {elapsed:.2f}s")

@@ -270,11 +270,13 @@ class TestFlags:
             ["verify", "--out", "o"],
             ["sweep-phase", "--seed", "7", "--out", "o"],
             ["sweep-lambda", "--seed", "7", "--out", "o"],
+            ["rigidity", "--config", "abring.cfg", "--out", "o"],
         ],
-        ids=["verify-out", "sweep-phase-seed", "sweep-lambda-seed"],
+        ids=["verify-out", "sweep-phase-seed", "sweep-lambda-seed", "rigidity-config"],
     )
     def test_unread_flag_is_rejected(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "abring.cfg").write_text("sweep.n_phi = 64\n", encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -135,6 +135,32 @@ class TestExactAmplitude:
         with pytest.raises(ValidityError, match=f"^energy must be finite, got {named}$"):
             exact_amplitude(ref_ring, 0.3, energy)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("energy", [1.25, [0.5, 1.25, 1.25]])
+    def test_overflowing_energy_term_rejected(self, energy):
+        # At |V| = 1e-160 Sigma is subnormal (about 7e-321), so E / S(E)
+        # overflows at E = eps_d; no RuntimeWarning comes first.
+        p = RingParams(v_mag=1e-160, eps_d=1.25, rho=0.4 / np.pi, validate_off_resonance=False)
+        with pytest.raises(ValidityError, match=r"^E / S\(E\) overflows at energy 1\.25$"):
+            exact_amplitude(p, 0.3, energy)
+
+    @pytest.mark.filterwarnings("error")
+    def test_amplitude_at_a_small_sigma_keeps_its_bits(self):
+        # At |V| = 1e-150, E / S(E) is large but finite.
+        p = RingParams(v_mag=1e-150, eps_d=1.25, rho=0.4 / np.pi, validate_off_resonance=False)
+        assert exact_amplitude(p, 0.3, 1.25) == complex(-0.8725799057014842, -0.3334429694377634)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("energy", [1.7e308, [0.1, 1.7e308, 1.7e308]])
+    def test_overflowing_detuning_rejected(self, energy):
+        # E - eps_d is inf though E and eps_d are finite, on both routes.
+        p = RingParams(v_mag=0.75, eps_d=-1e308, rho=0.4 / np.pi, validate_off_resonance=False)
+        match = r"^the detuning E - eps_d overflows at energy 1\.7e\+308$"
+        with pytest.raises(ValidityError, match=match):
+            exact_amplitude(p, 0.3, energy)
+        with pytest.raises(ValidityError, match=match):
+            second_order_amplitude(p, 0.3, 1.7e308)
+
     def test_vectorized_energies_match_scalars(self, ref_ring):
         energies = np.linspace(-0.5, 0.5, 9)
         batch = ResolventModel(ref_ring, 0.8).amplitude(energies)

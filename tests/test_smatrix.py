@@ -10,7 +10,6 @@ from abring import (
     rigidity_report,
     seeded_generator,
     symmetric_phi_grid,
-    transmission_from_s,
 )
 from abring import smatrix
 from abring.smatrix import (
@@ -23,6 +22,11 @@ from abring.smatrix import (
 )
 
 GRID = symmetric_phi_grid(64)
+
+
+def right_lead(m):
+    """Probability of ending in the right lead, |S_31|^2 + |S_41|^2, per matrix."""
+    return np.abs(m[..., 2, 0]) ** 2 + np.abs(m[..., 3, 0]) ** 2
 
 
 class TestGrid:
@@ -51,7 +55,7 @@ class TestReciprocalFromGenerator:
     def test_identity_generator(self):
         s = reciprocal_from_generator(lambda phi: np.eye(4))
         assert_allclose(s.at(0.7), np.eye(4), atol=1e-15)
-        assert transmission_from_s(s, 0.7) == 0.0
+        assert right_lead(s.at(0.7)) == 0.0
 
     def test_even_generator_gives_symmetric_s(self):
         q = seeded_generator(5)(0.0)
@@ -65,9 +69,11 @@ class TestReciprocalFromGenerator:
             assert_allclose(m, m.T, atol=1e-14)
 
     def test_invariants_over_seeded_families(self):
+        # at() checks unitarity; reciprocity is S(phi) = S(-phi)^T.
+        phis = GRID[::8]
         for seed in range(100):
             s = reciprocal_from_generator(seeded_generator(seed))
-            s.validate(GRID[::8])
+            assert_allclose(s.at(phis), np.swapaxes(s.at(-phis), -1, -2), rtol=0, atol=1e-12)
 
     def test_rejects_non_unitary_generator(self):
         s = reciprocal_from_generator(lambda phi: np.eye(4) * 1.01)
@@ -89,14 +95,12 @@ class TestFactorized:
         ring = reciprocal_ring_family(3)
         s = factorized_s(ring, np.eye(2))
         for phi in (0.0, 0.9, -1.4):
-            assert_allclose(
-                transmission_from_s(s, phi), abs(ring(phi)[1, 0]) ** 2, rtol=1e-13
-            )
+            assert_allclose(right_lead(s.at(phi)), abs(ring(phi)[1, 0]) ** 2, rtol=1e-13)
 
     def test_identity_ring_blocks_transfer(self):
         s = factorized_s(lambda phi: np.eye(2), random_symmetric_unitary(8))
         for phi in (0.0, 0.9, -1.4):
-            assert transmission_from_s(s, phi) == 0.0
+            assert right_lead(s.at(phi)) == 0.0
 
     def test_rejects_non_unitary_detector(self):
         with pytest.raises(ValueError):
@@ -120,25 +124,28 @@ class TestFactorized:
 
 
 class TestTransmission:
+    """The report's T(phi) = |S_31|^2 + |S_41|^2."""
+
     def test_identity_matrix(self):
         s = reciprocal_from_generator(lambda phi: np.eye(4))
-        assert transmission_from_s(s, 1.0) == 0.0
+        assert np.all(rigidity_report(s).t_pos == 0.0)
 
     def test_full_swap(self):
         swap = np.zeros((4, 4), dtype=complex)
         swap[2, 0] = swap[3, 1] = swap[0, 2] = swap[1, 3] = 1.0
         s = TwoParticleSMatrix(lambda phi: swap)
-        assert transmission_from_s(s, 0.0) == 1.0
+        assert np.all(rigidity_report(s).t_pos == 1.0)
 
     def test_column_unitarity_identity(self):
         for seed in range(50):
             s = reciprocal_from_generator(seeded_generator(seed))
-            for phi in GRID[::16]:
-                m = s.at(float(phi))
-                t = transmission_from_s(s, float(phi))
-                assert_allclose(
-                    t, 1.0 - abs(m[0, 0]) ** 2 - abs(m[1, 0]) ** 2, rtol=0, atol=1e-12
-                )
+            m = s.at(GRID)
+            assert_allclose(
+                rigidity_report(s).t_pos,
+                1.0 - np.abs(m[:, 0, 0]) ** 2 - np.abs(m[:, 1, 0]) ** 2,
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 class TestRigidityReport:
@@ -244,17 +251,17 @@ class TestBatchedParity:
 
     def test_transmission_over_a_phase_array(self):
         s = _generic(3)
-        t = transmission_from_s(s, GRID)
+        t = right_lead(s.at(GRID))
         assert t.shape == GRID.shape
-        assert np.array_equal(t, [transmission_from_s(s, p) for p in GRID])
-        assert type(transmission_from_s(s, GRID[0])) is float
+        assert np.array_equal(t, [right_lead(s.at(p)) for p in GRID])
+        assert s.at(GRID[0]).shape == (4, 4)  # a scalar phase gives one matrix
 
     def test_phase_independent_family_broadcasts(self):
         swap = np.eye(4)[[2, 3, 0, 1]]
         s = TwoParticleSMatrix(lambda phi: swap)
         assert s.at(GRID).shape == (GRID.size, 4, 4)
         assert s.at(0.3).shape == (4, 4)
-        assert np.all(transmission_from_s(s, GRID) == 1.0)
+        assert np.all(rigidity_report(s).t_pos == 1.0)
 
     def test_rejects_stack_that_does_not_fit_phases(self):
         s = TwoParticleSMatrix(lambda phi: np.zeros((3, 4, 4)))
@@ -281,17 +288,6 @@ class TestFailureNamesWorstPhase:
         with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
             s.at(self.PHIS)
 
-    def test_validate_unitarity(self):
-        s = TwoParticleSMatrix(lambda phi: np.eye(4) * _bump(phi))
-        with pytest.raises(ValidityError, match=r"S\(phi\) is not unitary at phi=0\.5 "):
-            s.validate(self.PHIS)
-
-    def test_validate_reciprocity(self):
-        # diag(e^{i phi}) is unitary; its reciprocity defect 2|sin phi| peaks at -2.0.
-        s = TwoParticleSMatrix(lambda phi: np.eye(4) * np.exp(1j * phi)[..., None, None])
-        with pytest.raises(ValidityError, match=r"reciprocity broken at phi=-2\.0 "):
-            s.validate(self.PHIS)
-
 
 class TestNanIsRejected:
     """A NaN defect fails every check and is named as the worst."""
@@ -302,11 +298,6 @@ class TestNanIsRejected:
         s = TwoParticleSMatrix(self.NAN_FAMILY)
         with pytest.raises(ValidityError, match=r"not unitary at phi=0\.3 \(defect nan\)"):
             s.at(0.3)
-
-    def test_validate(self):
-        s = TwoParticleSMatrix(self.NAN_FAMILY)
-        with pytest.raises(ValidityError, match=r"\(defect nan\)"):
-            s.validate(GRID)
 
     def test_defect_check_names_the_nan_phase(self):
         defect, phis = np.array([0.0, np.nan, 0.0]), np.array([0.5, -1.0, 2.0])
