@@ -5,7 +5,9 @@ Usage, with the ``src`` to test on ``PYTHONPATH``::
     python .github/scripts/api_reference.py OUT_DIR
 
 Saves four arrays with ``np.save``: ``oracle.npy`` holds the exact and
-second-order amplitudes and the truncation residual at 200 seeded draws.
+second-order amplitudes and the truncation residual at 200 seeded draws;
+the order-V^2 amplitude at an energy E is that of the ring with dot level
+``eps_d - E``.
 ``thermal.npy`` holds the thermal transmission at the reference ring over
 64 phases and three temperatures, with the default 128-point quadrature.
 ``thermal_strong.npy`` holds the same at a second ring, with x > 1 and a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,10 +61,11 @@ def oracle_values() -> np.ndarray:
         ring = _draw_ring(rng)
         phi = rng.uniform(-np.pi, np.pi)
         energy = rng.uniform(-0.2, 0.2)
+        shifted = replace(ring, eps_d=ring.eps_d - energy, validate_off_resonance=False)
         rows.append(
             (
                 exact_amplitude(ring, phi, energy),
-                second_order_amplitude(ring, phi, energy),
+                second_order_amplitude(shifted, phi),
                 truncation_residual(ring, phi),
             )
         )

@@ -15,15 +15,15 @@ direct amplitude for every coupling and phase, which gives
 the same resolvent must then match the closed-form single-visit amplitude
 on its own, and the leftover quantifies the truncation error.
 
-``ResolventModel(params, phi)`` is the whole model.  It assembles the
-energy-independent lead-and-hop block of ``g^{-1} - H`` once, from the
-ring, so ``H`` is Hermitian by construction and the only checks are those
-``RingParams`` makes when it is built.  The energy enters only the dot
-entry, so it reaches the amplitude through one scalar, the dot's Schur
-complement ``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from
-the lead block ``B`` and the dot hops ``c`` and ``r``.  A model makes one
-LAPACK solve, at ``E = 0``, and inverts the 2x2 ``B`` by its adjugate;
-every energy after that is arithmetic,
+``ResolventModel(params, phi)`` is the whole model.  It assembles
+``g^{-1} - H`` at the Fermi energy from the ring, so ``H`` is Hermitian by
+construction and the only checks are those ``RingParams`` makes when it is
+built.  The energy enters only the dot entry, as ``E - eps_d``, so it
+reaches the amplitude through one scalar, the dot's Schur complement
+``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from the lead
+block ``B`` and the dot hops ``c`` and ``r``.  A model makes one LAPACK
+solve, at ``E = 0``, and inverts the 2x2 ``B`` by its adjugate; every
+energy after that is arithmetic,
 
     A(E) = A(0) - N u_R w_L E / (S(E) S(0)),   u = B^{-1} c,  w = r B^{-1},
 
@@ -53,21 +53,12 @@ __all__ = [
 ]
 
 
-# Unit source at L, a read-only (3, 1) column with the ndim of the one
-# (3, 3) matrix it is solved against: numpy < 2 reads a source with one
-# dimension fewer than its matrix stack as a stack of vectors.
-_SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-_SOURCE.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class ResolventModel:
     """Three-site resolvent of the ring at a fixed flux phase."""
 
     params: RingParams
     phi: float
-    # g^{-1} - H without the dot entry's energy; read-only, built once.
-    _block: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
     # Energy-independent pieces of the amplitude, solved once: the E = 0
     # amplitude, the numerator N u_R w_L of its energy term, the dot's
     # self-energy Sigma = r B^{-1} c and S0 = -eps_d - Sigma.
@@ -77,24 +68,13 @@ class ResolventModel:
     _s0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
-        # L->R transmission picks up e^{-i phi}.
-        p = self.params
-        w = np.exp(1j * self.phi)
-        v = p.v_mag
-        block = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
-        g_lead = -1j * (np.pi * p.rho)
-        block[0, 0] += 1.0 / g_lead
-        block[1, 1] += 1.0 / g_lead
-        block.flags.writeable = False
-        object.__setattr__(self, "_block", block)
-
         # The model's one LAPACK call: inject at L, read out at R, at E = 0.
-        col = np.linalg.solve(self._inverse_propagator(0.0), _SOURCE)[..., 1, 0]
+        a = self._inverse_propagator()
+        col = np.linalg.solve(a, np.array([1.0, 0.0, 0.0], dtype=complex))[1]
         # The lead block B has det = -(1/(pi rho))^2 - 1, never 0, so its 2x2
         # adjugate inverts it.  With c and r the dot's hops, u = B^{-1} c,
         # w = r B^{-1} and Sigma = r u.
-        (b00, b01, c0), (b10, b11, c1), (r0, r1, _) = block.tolist()
+        (b00, b01, c0), (b10, b11, c1), (r0, r1, _) = a.tolist()
         det = b00 * b11 - b01 * b10
         u0 = (b11 * c0 - b01 * c1) / det
         u1 = (b00 * c1 - b10 * c0) / det
@@ -104,26 +84,32 @@ class ResolventModel:
         object.__setattr__(self, "_amp0", complex(n * col))
         object.__setattr__(self, "_k", n * u1 * w0)
         object.__setattr__(self, "_sigma", sigma)
-        object.__setattr__(self, "_s0", -p.eps_d - sigma)
+        object.__setattr__(self, "_s0", -self.params.eps_d - sigma)
 
     @property
     def norm_const(self) -> complex:
         """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
         return 2j / (np.pi * self.params.rho)
 
-    def _inverse_propagator(self, energy: float) -> NDArray[np.complex128]:
-        """g^{-1} - H at one energy, as a fresh array."""
-        a = self._block.copy()
-        a[2, 2] = detuning = float(energy) - self.params.eps_d  # Python floats: no warning
-        if not math.isfinite(detuning):
-            raise self._energy_error(float(energy))
+    def _inverse_propagator(self) -> NDArray[np.complex128]:
+        """g^{-1} - H at the Fermi energy, as a fresh array."""
+        # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
+        # L->R transmission picks up e^{-i phi}.
+        p = self.params
+        w = np.exp(1j * self.phi)
+        v = p.v_mag
+        a = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
+        g_lead = -1j * (np.pi * p.rho)
+        a[0, 0] += 1.0 / g_lead
+        a[1, 1] += 1.0 / g_lead
+        a[2, 2] = -p.eps_d
         return a
 
     def _energy_error(self, energy: float) -> ValueError:
         """Why ``energy`` has no finite amplitude (see the module docstring)."""
         if not math.isfinite(energy):
             return ValidityError(f"energy must be finite, got {energy}")
-        detuning = energy - self.params.eps_d  # Python floats: no warning
+        detuning = energy - float(self.params.eps_d)  # Python floats: no warning
         if not math.isfinite(detuning):
             return ValidityError(f"the detuning E - eps_d overflows at energy {energy!r}")
         if detuning - self._sigma == 0:
@@ -162,15 +148,17 @@ def exact_amplitude(params: RingParams, phi: float, energy=0.0):
     return ResolventModel(params, phi).amplitude(energy)
 
 
-def second_order_amplitude(params: RingParams, phi: float, energy: float = 0.0) -> complex:
-    """Order-``V^2`` part of the exact amplitude.
+def second_order_amplitude(params: RingParams, phi: float) -> complex:
+    """Order-``V^2`` part of the exact amplitude at the Fermi energy.
 
     Composes the numerically inverted dot-decoupled resolvent with two dot
     hops, ``G0 Hv G0 Hv G0``; no closed-form ring algebra is reused, so a
-    match against ``amplitude_t1`` is a genuine cross-validation.
+    match against ``amplitude_t1`` is a genuine cross-validation.  The
+    energy enters only as ``E - eps_d``, so the value at an energy ``E`` is
+    that of the ring with ``eps_d - E`` as its dot level.
     """
     model = ResolventModel(params, phi)
-    a = model._inverse_propagator(energy)
+    a = model._inverse_propagator()
     a0 = a.copy()
     a0[:2, 2] = a0[2, :2] = 0.0  # cut the four dot hops
     hv = a0 - a

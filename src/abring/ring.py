@@ -84,10 +84,12 @@ class RingParams:
         ):
             if not (math.isfinite(value) and in_range):
                 raise ValidityError(f"{name} must be finite and {requirement}, got {value}")
+        # x and gamma are Python floats, whatever the fields' type, so an
+        # overflow below gives inf or OverflowError, never a numpy warning.
         x = self.x
         x2 = x * x
         try:
-            ratio = self.gamma / abs(self.eps_d)
+            ratio = self.gamma / abs(float(self.eps_d))
         except OverflowError:  # float ** 2 raises where float * float gives inf
             ratio = math.inf
         # x^2 and 1/x^2 enter t0, t1 and dot_arm_rms; a subnormal or zero x^2
@@ -129,12 +131,12 @@ class RingParams:
     @property
     def x(self) -> float:
         """Dimensionless lead coupling ``pi rho |W|``, which is ``pi rho`` at ``|W| = 1``."""
-        return np.pi * self.rho
+        return np.pi * float(self.rho)
 
     @property
     def gamma(self) -> float:
         """Effective dot level width ``pi rho |V|^2 / (1 + x^2)``."""
-        return np.pi * self.rho * self.v_mag**2 / (1.0 + self.x**2)
+        return np.pi * float(self.rho) * float(self.v_mag) ** 2 / (1.0 + self.x**2)
 
 
 def amplitude_t0(params: RingParams, phi):

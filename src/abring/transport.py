@@ -195,10 +195,10 @@ def rigidity_asymmetry(params: RingParams, lam, n_points: int) -> float:
 class ThermalConfig:
     """Fermi-window quadrature settings.
 
-    ``temperature`` is k_B T in energy units; ``energy_window`` is the
-    half-width of the integration window in units of k_B T.  Above zero
-    temperature the config builds its midpoint energies and thermal
-    weights ``-df/dE = sech^2(E / 2kT) / 4kT`` once, when it is made.
+    ``temperature`` is k_B T in energy units and must be positive;
+    ``energy_window`` is the half-width of the integration window in units
+    of k_B T.  The config builds its midpoint energies and thermal weights
+    ``-df/dE = sech^2(E / 2kT) / 4kT`` once, when it is made.
 
     Raises
     ------
@@ -209,34 +209,28 @@ class ThermalConfig:
         or point count is too small for the weight.
     """
 
-    temperature: float = 0.0
+    temperature: float
     quadrature_points: int = 128
     energy_window: float = 16.0
     # The window's midpoint energies (read-only), their weights and the
-    # weights' sum; None at zero temperature.
-    _mids: NDArray[np.float64] | None = field(default=None, init=False, repr=False, compare=False)
-    _weights: NDArray[np.float64] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _mass: float | None = field(default=None, init=False, repr=False, compare=False)
+    # weights' sum.
+    _mids: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _weights: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValidityError(
-                f"temperature must be finite and nonnegative, got {self.temperature}"
-            )
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValidityError(f"temperature must be finite and positive, got {self.temperature}")
         n = self.quadrature_points
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValidityError(f"quadrature_points must be an integer, got {n!r}")
-        if self.temperature > 0 and n < 16:
+        if n < 16:
             raise ValidityError(f"need at least 16 quadrature points, got {n}")
         if not (math.isfinite(self.energy_window) and self.energy_window >= 8.0):
             raise ValidityError(
                 f"energy window must be finite and span at least 8 k_B T, got {self.energy_window}"
             )
         kt = self.temperature
-        if kt == 0.0:
-            return
         half = self.energy_window * kt
         if not math.isfinite(2.0 * half):
             raise ValidityError(
@@ -268,9 +262,6 @@ def thermal_transmission(tfun: Callable[[NDArray[np.float64]], object], cfg: The
     Midpoint quadrature of ``tfun`` against the thermal weights of ``cfg``
     on its symmetric window, with the discrete weights normalized to unit
     mass so a constant function is reproduced exactly.  ``tfun`` is called
-    once, on all of the window's energies.  At zero temperature this is
-    ``tfun(0)``.
+    once, on all of the window's energies.
     """
-    if cfg.temperature == 0.0:
-        return float(tfun(0.0))
     return float(np.sum(cfg._weights * np.asarray(tfun(cfg._mids), dtype=float)) / cfg._mass)

@@ -1,5 +1,7 @@
 """All-order resolvent solver against the truncated closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,7 +37,7 @@ class TestCalibration:
     def test_inverse_propagator_entries(self, ref_ring):
         # g^{-1} - H at E = 0: lead entries 1/g_lead, dot entry -eps_d,
         # and a Hermitian hop part off the diagonal.
-        a = ResolventModel(ref_ring, 1.234)._inverse_propagator(0.0)
+        a = ResolventModel(ref_ring, 1.234)._inverse_propagator()
         hops = a - np.diag(np.diag(a))
         assert_allclose(hops, hops.conj().T, atol=1e-15)
         assert_allclose(np.diag(a)[:2], 1.0 / (-1j * np.pi * ref_ring.rho), rtol=1e-15)
@@ -65,6 +67,21 @@ class TestSecondOrder:
             estimate = (16.0 * e_half - e_full) / 3.0
             target = complex(amplitude_t1(small, phi))
             assert abs(estimate - target) / abs(target) < 1e-6
+
+    def test_shifted_dot_level_carries_the_energy(self, rng):
+        # g^-1 - H of the ring with dot level eps_d - E is the ring's own
+        # at energy E, bit for bit, so the order-V^2 amplitude needs no
+        # energy argument.
+        for _ in range(100):
+            p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
+            energy = rng.uniform(-0.2, 0.2)
+            a = ResolventModel(p, phi)._inverse_propagator()
+            a[2, 2] = energy - p.eps_d
+            shifted = replace(p, eps_d=p.eps_d - energy, validate_off_resonance=False)
+            assert ResolventModel(shifted, phi)._inverse_propagator().tobytes() == a.tobytes()
+        # At E = eps_d, the pole, the shifted level is 0, which RingParams names.
+        with pytest.raises(ValidityError, match=r"^eps_d must be finite and nonzero"):
+            replace(p, eps_d=p.eps_d - p.eps_d, validate_off_resonance=False)
 
 
 class TestTruncation:
@@ -158,8 +175,18 @@ class TestExactAmplitude:
         match = r"^the detuning E - eps_d overflows at energy 1\.7e\+308$"
         with pytest.raises(ValidityError, match=match):
             exact_amplitude(p, 0.3, energy)
+        # The order-V^2 amplitude takes the energy as the dot level eps_d - E.
+        with pytest.raises(ValidityError, match=r"^eps_d must be finite"):
+            replace(p, eps_d=p.eps_d - 1.7e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_detuning_rejected_at_a_numpy_dot_level(self):
+        p = RingParams(
+            v_mag=0.75, eps_d=np.float64(-1e308), rho=0.4 / np.pi, validate_off_resonance=False
+        )
+        match = r"^the detuning E - eps_d overflows at energy 1\.7e\+308$"
         with pytest.raises(ValidityError, match=match):
-            second_order_amplitude(p, 0.3, 1.7e308)
+            exact_amplitude(p, 0.3, 1.7e308)
 
     def test_vectorized_energies_match_scalars(self, ref_ring):
         energies = np.linspace(-0.5, 0.5, 9)
@@ -178,12 +205,10 @@ class TestExactAmplitude:
             assert np.array_equal(stacked.ravel(), scalars)
 
     @pytest.mark.parametrize("energy", [0.1, np.linspace(-0.3, 0.3, 5), np.zeros((2, 3))])
-    def test_source_has_the_ndim_of_its_matrix_stack(self, monkeypatch, ref_ring, energy):
+    def test_one_solve_per_model(self, monkeypatch, ref_ring, energy):
         # Every energy goes through the Schur complement, so a model makes
-        # one LAPACK call, on a stack of one, however many stacks follow.
-        # numpy < 2 solves a source with one dimension fewer than the
-        # matrix as a stack of vectors; equal ndim takes the matrix path
-        # everywhere.
+        # one LAPACK call, on one matrix and one vector, however many
+        # stacks follow.
         solve, seen = np.linalg.solve, []
 
         def checked_solve(a, b):
@@ -194,10 +219,11 @@ class TestExactAmplitude:
         model = ResolventModel(ref_ring, 0.8)
         for stack in (energy, 0.0, np.ones(256), energy):
             model.amplitude(stack)
-        assert seen == [((3, 3), (3, 1))]
+        assert seen == [((3, 3), (3,))]
 
     def test_model_block_is_never_written(self, rng):
-        # One model solved at two energy stacks in turn equals fresh models.
+        # One model solved at two energy stacks in turn equals fresh models,
+        # and each g^-1 - H it hands out is a fresh array.
         for _ in range(20):
             p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
             first, second = rng.uniform(-0.5, 0.5, 64), rng.uniform(-0.5, 0.5, 7)
@@ -205,8 +231,9 @@ class TestExactAmplitude:
             assert np.array_equal(model.amplitude(first), ResolventModel(p, phi).amplitude(first))
             assert np.array_equal(model.amplitude(second), ResolventModel(p, phi).amplitude(second))
             assert model.amplitude(0.0) == ResolventModel(p, phi).amplitude(0.0)
-        with pytest.raises(ValueError):
-            model._block[2, 2] = 0.0
+        a = model._inverse_propagator()
+        a[2, 2] = 0.0
+        assert model._inverse_propagator()[2, 2] == -p.eps_d
 
     def test_model_compares_by_ring_and_phase(self, ref_ring):
         assert ResolventModel(ref_ring, 0.8) == ResolventModel(ref_ring, 0.8)
@@ -220,8 +247,14 @@ class TestSchurComplement:
     SOURCE = np.array([[1.0], [0.0], [0.0]], dtype=complex)
 
     def per_energy(self, model, energies):
-        solves = (np.linalg.solve(model._inverse_propagator(e), self.SOURCE) for e in energies)
-        return np.array([model.norm_const * g[1, 0] for g in solves])
+        # The dot entry of g^-1 - H is E - eps_d; a shifted dot level cannot
+        # reach E = eps_d, so the reference sets the entry itself.
+        out = []
+        for e in energies:
+            a = model._inverse_propagator()
+            a[2, 2] = e - model.params.eps_d
+            out.append(model.norm_const * np.linalg.solve(a, self.SOURCE)[1, 0])
+        return np.array(out)
 
     @staticmethod
     def weakly_coupled_ring(rng):
@@ -263,7 +296,7 @@ class TestSchurComplement:
         drawn = [(p, rng.uniform(-np.pi, np.pi)) for p in rings]
         for p, phi in decoupled + drawn:
             model = ResolventModel(p, phi)
-            a = model._inverse_propagator(0.0)
+            a = model._inverse_propagator()
             direct = complex(model.norm_const * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
             for got in (model.amplitude(0.0), model.amplitude(np.array([0.3, 0.0]))[1]):
                 assert np.complex128(got).tobytes() == np.complex128(direct).tobytes()

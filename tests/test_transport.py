@@ -62,6 +62,20 @@ NAN, INF = float("nan"), float("inf")
             "parameters leave the float range",
             id="inverse-x-squared-subnormal",
         ),
+        pytest.param(
+            lambda: RingParams(
+                v_mag=np.float64(1e200), eps_d=1e-300, rho=0.1, validate_off_resonance=False
+            ),
+            "parameters leave the float range",
+            id="gamma-overflow-numpy-v_mag",
+        ),
+        pytest.param(
+            lambda: RingParams(
+                v_mag=1e100, eps_d=np.float64(1e-300), rho=0.1, validate_off_resonance=False
+            ),
+            "parameters leave the float range",
+            id="ratio-overflow-numpy-eps_d",
+        ),
         pytest.param(lambda: ThermalConfig(NAN), "temperature", id="temperature=nan"),
         pytest.param(lambda: ThermalConfig(INF), "temperature", id="temperature=inf"),
         pytest.param(lambda: ThermalConfig(0.01, 128, INF), "energy window", id="energy_window=inf"),
@@ -359,10 +373,11 @@ class TestRigidityAsymmetry:
 
 
 class TestThermal:
-    def test_zero_temperature_is_fermi_energy_value(self, ref_ring):
-        tfun = energy_resolved_transmission(ref_ring, 0.7)
-        cfg = ThermalConfig(temperature=0.0)
-        assert thermal_transmission(tfun, cfg) == float(tfun(0.0))
+    def test_zero_temperature_rejected(self):
+        # The Fermi-energy value is tfun(0.0) itself; a config has a window.
+        match = r"^temperature must be finite and positive, got 0\.0$"
+        with pytest.raises(ValidityError, match=match):
+            ThermalConfig(0.0)
 
     def test_constant_reproduced(self):
         cfg = ThermalConfig(temperature=0.05, quadrature_points=64)
@@ -407,7 +422,7 @@ class TestThermal:
         with pytest.raises(ValidityError, match="^quadrature_points must be an integer"):
             ThermalConfig(0.1, points)
         with pytest.raises(ValidityError, match="^quadrature_points must be an integer"):
-            ThermalConfig(0.0, points)
+            ThermalConfig(1e-3, points, 64.0)
 
     def test_numpy_integer_point_count_accepted(self, ref_ring):
         tfun = energy_resolved_transmission(ref_ring, 0.7)
@@ -447,4 +462,5 @@ class TestThermal:
             ThermalConfig(temperature=0.1, quadrature_points=8)
         with pytest.raises(ValidityError):
             ThermalConfig(temperature=0.1, energy_window=4.0)
-        ThermalConfig(temperature=0.0, quadrature_points=8)  # fine when cold
+        with pytest.raises(ValidityError, match="^need at least 16 quadrature points"):
+            ThermalConfig(temperature=1e-3, quadrature_points=8, energy_window=64.0)
