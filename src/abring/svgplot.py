@@ -6,9 +6,10 @@ artifact of record; these plots are a quick visual check only.
 
 Polyline coordinates are computed on whole arrays and formatted in bulk,
 byte for byte as per-value ``'%.2f' % v`` would format them (``_text``; a
-coordinate that is negative, nan or at least ``1e5`` takes the per-value
-``%``).  The document goes to the open file piece by piece, so no
-polyline is ever held as a string.
+coordinate that is negative, nan or from ``99999.995`` on takes the
+per-value ``%``).  The shared x coordinates are formatted once per plot
+and kept as their text bytes and one length per point.  The document goes
+to the open file piece by piece, so no polyline is ever held as a string.
 
 The array expressions must keep the scalar operation order,
 ``MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w``: elementwise IEEE
@@ -43,9 +44,17 @@ def write_line_plot(
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """Write one SVG with a shared x axis and one polyline per series."""
+    """Write one SVG with a shared x axis and one polyline per series.
+
+    Raises ``ValueError`` unless there is one label per series and every
+    series has one value per x.
+    """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(s, dtype=float) for s in series]
+    if len(ys) != len(labels):
+        raise ValueError(f"{len(ys)} series but {len(labels)} labels")
+    if any(y.shape != x.shape for y in ys):
+        raise ValueError(f"every series must have the shape of x, {x.shape}")
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo = min(float(s.min()) for s in ys)
     y_hi = max(float(s.max()) for s in ys)
@@ -103,11 +112,11 @@ def write_line_plot(
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>',
         )
-        x_px = px(x)
+        x_text = _text.Column(px(x), "%.2f")
         for i, (y, label) in enumerate(zip(ys, labels)):
             color = PALETTE[i % len(PALETTE)]
             fh.write(b'<polyline points="')
-            fh.writelines(_text.rows([x_px, py(y)], "%.2f", b", ", end=b""))
+            fh.writelines(_text.rows([x_text, py(y)], "%.2f", b", ", end=b""))
             ly = MARGIN_T + 14 + 16 * i
             lx = MARGIN_L + inner_w - 150
             put(

@@ -71,6 +71,47 @@ def test_polylines_equal_scalar_reference(tmp_path, x, series):
     assert written_points(tmp_path, x, series) == reference_points(x, series)
 
 
+def _with_inf(values, at):
+    values = np.array(values, dtype=float)
+    values[at] = np.inf
+    return values
+
+
+# Finite data map into the plot box, so a coordinate falls back to the
+# per-value "%.2f" only as nan: an infinite x gives nan at its own point
+# (every finite x sits at the left margin), and an infinite y makes every
+# y nan.  The polylines are written 4,096 points per chunk.
+FALLBACK_CASES = {
+    "x-on-chunk-edge": (_with_inf(np.arange(8193) / 8192.0, [4095, 4096]), [np.sin(np.arange(8193) / 50.0)]),
+    "y-on-chunk-edge": (np.arange(8193) / 8192.0, [np.cos(np.arange(8193) / 50.0), _with_inf(np.zeros(8193), 4096)]),
+    "single-point": ([np.inf], [[0.3], [0.7]]),
+}
+
+
+@pytest.mark.parametrize("x, series", list(FALLBACK_CASES.values()), ids=list(FALLBACK_CASES))
+def test_fallback_coordinates_equal_scalar_reference(tmp_path, x, series):
+    with np.errstate(invalid="ignore"):  # inf / inf in the coordinates is the point
+        points = written_points(tmp_path, x, series)
+    assert points == reference_points(x, series)
+    assert any("nan" in p for p in points)
+
+
+@pytest.mark.parametrize("n_series, n_labels", [(3, 1), (1, 2)])
+def test_one_label_per_series(tmp_path, n_series, n_labels):
+    path = tmp_path / "p.svg"
+    with pytest.raises(ValueError, match="labels"):
+        write_line_plot(str(path), [0.0, 1.0], [[0.0, 1.0]] * n_series, ["a"] * n_labels, "t", "x", "y")
+
+
+@pytest.mark.parametrize("n_y", [10, 4095, 5000])
+def test_series_length_must_match_x(tmp_path, n_y):
+    # 5,000 values run past the first 4,096-point chunk of a 4,096-point x.
+    path = tmp_path / "p.svg"
+    x = np.linspace(0.0, 1.0, 4096)
+    with pytest.raises(ValueError, match="shape of x"):
+        write_line_plot(str(path), x, [np.zeros(4096), np.zeros(n_y)], ["a", "b"], "t", "x", "y")
+
+
 def test_positional_signature(tmp_path):
     # The benchmark tracer reads x and series as args[1] and args[2].
     params = list(inspect.signature(write_line_plot).parameters.values())

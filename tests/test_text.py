@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abring._text import rows
+from abring._text import CHUNK_VALUES, Column, rows
 
 FORMATS = ["%.17g", "%.2f"]
 
@@ -94,9 +94,49 @@ def test_2_decimal_ties(values):
     assert_same_text(-values[::97], "%.2f")
 
 
+def test_2_decimal_tie_margin():
+    # %.2f rounds fl(100 v) with rint and takes Dekker's lo only within
+    # 2**-30 of a half-integer.  Walk the doubles around (k + 0.5) / 100
+    # where fl(100 v) spans [2**20, 1e7): values inside the margin, on its
+    # edges and just outside it on either side of the tie.
+    margin = 2.0**-30
+    k = np.unique(np.geomspace(2**20, 10**7 - 1, 400).astype(np.int64))
+    bits = ((k + 0.5) / 100).view(np.int64)[:, None] + np.arange(-96, 97)
+    values = bits.ravel().view(np.float64)
+    hi = values * 100
+    gap = np.abs(np.abs(hi - np.rint(hi)) - 0.5)
+    below = hi - np.floor(hi) < 0.5
+    for name, where in [("inside", gap < margin), ("edge", gap == margin), ("outside", (gap > margin) & (gap <= 4 * margin))]:
+        assert (where & below).any() and (where & ~below).any(), name
+    assert_same_text(values, "%.2f")
+
+
+def test_2_decimal_neighbours_of_every_hundredth_and_a_half():
+    # k/100 + 0.005 up to 1e5; the last, 99999.995, is where the bulk range ends.
+    base = np.append(np.arange(0, 10**7, 97), 10**7 - 1) / 100 + 0.005
+    assert_same_text(np.concatenate([np.nextafter(base, 0), base, np.nextafter(base, np.inf)]), "%.2f")
+
+
+def test_17_digit_chunks_with_every_layout_group():
+    # Every (e10, sign) group in each chunk, and a different largest group
+    # in each: every group's layout is built both over the whole chunk and
+    # for rows moved through the row view.
+    rng = np.random.default_rng(7)
+    groups = [(e, sign) for e in range(-4, 16) for sign in (1.0, -1.0)]
+    chunks = []
+    for largest in [(-4, 1.0), (15, -1.0), (-1, 1.0)]:
+        each = (CHUNK_VALUES - 2000) // len(groups)
+        picks = groups * each + [largest] * (CHUNK_VALUES - each * len(groups))
+        e, sign = np.array(picks).T
+        chunk = sign * rng.uniform(1.0, 10.0, len(picks)) * 10.0**e
+        chunks.append(rng.permutation(chunk))
+    assert_same_text(np.concatenate(chunks), "%.17g")
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_neighbours_of_powers_of_ten(fmt):
-    # Includes the edges of the bulk ranges: 1e-4 and 1e16, and 1e5 for %.2f.
+    # Includes the edges of the %.17g bulk range, 1e-4 and 1e16, and 1e5,
+    # just above the end of the %.2f bulk range.
     powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
     values = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
     assert_same_text(signed(values), fmt)
@@ -120,3 +160,31 @@ def test_separators_and_end_across_chunks():
 
 def test_no_rows():
     assert b"".join(rows([[], []], "%.17g", b",\n")) == b""
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_column_with_fallbacks_on_chunk_edges(fmt):
+    # Two columns take CHUNK_VALUES // 2 rows per chunk; a Column formats
+    # CHUNK_VALUES values at a time, and the last of its pieces here holds
+    # only fallback values.
+    half = CHUNK_VALUES // 2
+    n = 2 * CHUNK_VALUES + 5
+    x = np.linspace(0.25, 900.0, n)
+    x[[0, half - 1, half, CHUNK_VALUES - 1, CHUNK_VALUES]] = [np.nan, -3.25, 1e5, -0.0, 2.5e17]
+    x[2 * CHUNK_VALUES :] = [np.inf, -np.inf, np.nan, -1.0, 1e300]
+    y = np.linspace(-2.0, 5e4, n)
+    y[[half - 1, half, n - 1]] = [np.nan, 1e5, -7.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = Column(x, fmt)
+        got = b"".join(rows([shared, y], fmt, b", ", end=b"|"))
+        again = b"".join(rows([y, shared, y], fmt, b";,\n"))
+    assert got == (" ".join(f"{fmt % a},{fmt % b}" for a, b in zip(x.tolist(), y.tolist())) + "|").encode("ascii")
+    assert again == "".join(f"{fmt % b};{fmt % a},{fmt % b}\n" for a, b in zip(x.tolist(), y.tolist())).encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("value", [0.5, np.nan, -1.0, 1e5])
+def test_column_of_one_value(fmt, value):
+    got = b"".join(rows([Column([value], fmt), [2.0]], fmt, b" \n"))
+    assert got == f"{fmt % value} {fmt % 2.0}\n".encode("ascii")
