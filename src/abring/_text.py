@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["Column", "rows"]
+__all__ = ["rows"]
 
 CHUNK_VALUES = 8192  # values formatted at a time: bounds the temporaries
 
@@ -240,68 +240,13 @@ def _formatted(v: np.ndarray, fmt: _Format) -> tuple[np.ndarray, np.ndarray]:
     return buf, length
 
 
-class Column:
-    """One column's text, formatted once for several :func:`rows` calls in
-    the same format.
-
-    Holds one length per value and the text bytes cut to the byte columns
-    that any value uses (``"72.00"`` to ``"696.00"`` take six), so it costs
-    about as much as the text itself.  Values outside the bulk range keep
-    their per-value ``%`` text, by index.
-    """
-
-    def __init__(self, values: ArrayLike, fmt: str) -> None:
-        v = np.asarray(values, dtype=float)
-        form = _FORMATS[fmt]
-        self.length = np.empty(v.size, np.uint8)
-        pieces = []
-        for lo in range(0, v.size, CHUNK_VALUES):
-            buf, length = _formatted(v[lo : lo + CHUNK_VALUES], form)
-            used = np.flatnonzero(form.keep[np.bincount(length, minlength=len(form.keep)) > 0, :-1].any(axis=0))
-            if used.size:
-                pieces.append((lo, used[0], buf[:, used[0] : used[-1] + 1].copy()))
-            self.length[lo : lo + len(buf)] = length
-        self.start = min((a for _, a, _ in pieces), default=0)
-        stop = max((a + p.shape[1] for _, a, p in pieces), default=0)
-        self.text = np.empty((v.size, stop - self.start), np.uint8)
-        for lo, a, piece in pieces:
-            self.text[lo : lo + len(piece), a - self.start : a - self.start + piece.shape[1]] = piece
-        slow = np.flatnonzero(self.length == len(form.keep) - 1)
-        self.slow = dict(zip(slow.tolist(), [fmt % x for x in v[slow].tolist()]))
-
-    def __len__(self) -> int:
-        return len(self.length)
-
-
-def _place_columns(cols: list, raw: list[int], lo: int, block: np.ndarray, lengths: np.ndarray):
-    """The rows and lengths of a chunk, with its :class:`Column` texts moved
-    in beside the values formatted now (``block``)."""
-    r, width = len(block) // len(raw), block.shape[1]
-    buf = np.empty((r, len(cols), width), np.uint8)
-    length = np.empty((r, len(cols)), lengths.dtype)
-    block, lengths = block.reshape(r, len(raw), width), lengths.reshape(r, len(raw))
-    for k, j in enumerate(raw):
-        _rows_of(buf[:, j])[:] = _rows_of(block[:, k])
-        length[:, j] = lengths[:, k]
-    for j, col in enumerate(cols):
-        if isinstance(col, Column):
-            if col.text.shape[1]:
-                _rows_of(buf[:, j, col.start : col.start + col.text.shape[1]])[:] = _rows_of(col.text[lo : lo + r])
-            length[:, j] = col.length[lo : lo + r]
-    return buf, length
-
-
-def rows(
-    columns: Sequence[ArrayLike | Column], fmt: str, seps: bytes, end: bytes | None = None
-) -> Iterator[bytes]:
+def rows(columns: Sequence[ArrayLike], fmt: str, seps: bytes, end: bytes | None = None) -> Iterator[bytes]:
     """The rows of equal-length columns as text, in chunks of a few thousand
     values: ``fmt % v`` (``"%.17g"`` or ``"%.2f"``) of each value, followed
-    by ``seps[j]`` in column ``j``.  A :class:`Column` formatted in ``fmt``
-    gives its stored text; at least one column must be values.  ``end``, if
-    given, replaces the last separator of the last row."""
+    by ``seps[j]`` in column ``j``.  ``end``, if given, replaces the last
+    separator of the last row."""
     form = _FORMATS[fmt]
-    cols = [c if isinstance(c, Column) else np.asarray(c, dtype=float) for c in columns]
-    raw = [j for j, c in enumerate(cols) if not isinstance(c, Column)]
+    cols = [np.asarray(c, dtype=float) for c in columns]
     width = form.keep.shape[1]
     keep, kept = _rows_of(form.keep), form.keep.sum(axis=1)
     sep = np.frombuffer(seps, np.uint8)
@@ -309,19 +254,14 @@ def rows(
     step = max(1, CHUNK_VALUES // len(cols))
     for lo in range(0, size, step):
         r = min(step, size - lo)
-        buf, length = _formatted(np.stack([cols[j][lo : lo + r] for j in raw], axis=1).ravel(), form)
-        if len(raw) < len(cols):
-            buf, length = _place_columns(cols, raw, lo, buf, length)
+        values = np.stack([c[lo : lo + r] for c in cols], axis=1).ravel()
+        buf, length = _formatted(values, form)
         for j, s in enumerate(sep.tolist()):
             buf.reshape(r, len(cols), width)[:, j, -1] = s
-        length = length.ravel()
         text = buf.reshape(-1)[keep[length].view(bool)].tobytes()
-        at = np.flatnonzero(length == len(form.keep) - 1)  # per-value %, row by row
+        at = np.flatnonzero(length == len(form.keep) - 1)  # per-value %, in row order
         if at.size:
-            texts = []
-            for row, j in zip(*(a.tolist() for a in np.divmod(at + lo * len(cols), len(cols)))):
-                col = cols[j]
-                texts.append(col.slow[row] if isinstance(col, Column) else fmt % float(col[row]))
+            texts = [fmt % v for v in values[at].tolist()]
             text = _splice(text, np.cumsum(kept[length])[at], texts, sep[at % len(cols)])
         yield text if end is None or lo + r < size else text[:-1] + end
 

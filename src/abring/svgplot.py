@@ -5,11 +5,10 @@ the same inputs produce byte-identical files.  CSV output remains the
 artifact of record; these plots are a quick visual check only.
 
 Polyline coordinates are computed on whole arrays and formatted in bulk,
-byte for byte as per-value ``'%.2f' % v`` would format them (``_text``; a
-coordinate that is negative, nan or from ``99999.995`` on takes the
-per-value ``%``).  The shared x coordinates are formatted once per plot
-and kept as their text bytes and one length per point.  The document goes
-to the open file piece by piece, so no polyline is ever held as a string.
+byte for byte as per-value ``'%.2f' % v`` would format them (``_text``).
+Data whose spans are not positive and finite are rejected, so every
+coordinate lies inside the plot box.  The document goes to the open file
+piece by piece, so no polyline is ever held as a string.
 
 The array expressions must keep the scalar operation order,
 ``MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w``: elementwise IEEE
@@ -46,8 +45,11 @@ def write_line_plot(
 ) -> None:
     """Write one SVG with a shared x axis and one polyline per series.
 
-    Raises ``ValueError`` unless there is one label per series and every
-    series has one value per x.
+    Raises ``ValueError`` before the file is opened unless x is not empty,
+    there is at least one series, one label per series and one value per
+    x in every series, and the x span and the padded y span are positive
+    and finite.  That rejects infinite and nan values, spans that overflow,
+    and a constant axis too large for its widening to show.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(s, dtype=float) for s in series]
@@ -55,15 +57,19 @@ def write_line_plot(
         raise ValueError(f"{len(ys)} series but {len(labels)} labels")
     if any(y.shape != x.shape for y in ys):
         raise ValueError(f"every series must have the shape of x, {x.shape}")
+    if x.size == 0 or not ys:
+        raise ValueError(f"nothing to plot: {x.size} x values, {len(ys)} series")
     x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo = min(float(s.min()) for s in ys)
-    y_hi = max(float(s.max()) for s in ys)
+    y_lo = float(np.min([s.min() for s in ys]))  # np.min, not min: a nan must carry
+    y_hi = float(np.max([s.max() for s in ys]))
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (0.0 < x_hi - x_lo < np.inf and 0.0 < y_hi - y_lo < np.inf):
+        raise ValueError(f"cannot place the data: x span {x_hi - x_lo!r}, padded y span {y_hi - y_lo!r}")
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -112,11 +118,10 @@ def write_line_plot(
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>',
         )
-        x_text = _text.Column(px(x), "%.2f")
         for i, (y, label) in enumerate(zip(ys, labels)):
             color = PALETTE[i % len(PALETTE)]
             fh.write(b'<polyline points="')
-            fh.writelines(_text.rows([x_text, py(y)], "%.2f", b", ", end=b""))
+            fh.writelines(_text.rows([px(x), py(y)], "%.2f", b", ", end=b""))
             ly = MARGIN_T + 14 + 16 * i
             lx = MARGIN_L + inner_w - 150
             put(

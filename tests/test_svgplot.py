@@ -3,6 +3,7 @@
 import inspect
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ CASES = {
     # px = 72 + 39 k / 64 lands exactly on ties such as 72.125, where a
     # one-ulp change in px moves the printed "%.2f" digit.
     "binary-ties": (np.arange(1025) / 1024.0, [np.sin(np.arange(1025) / 100.0)]),
+    # The same ties (px = 72 + 39 k / 512) across the 4,096-point chunk
+    # edges of a polyline, whose last chunk holds one point.
+    "binary-ties-on-chunk-edges": (np.arange(8193) / 8192.0, [np.sin(np.arange(8193) / 50.0)]),
     "wide-range": (
         np.logspace(-300, 300, 61),
         [np.logspace(-300, 300, 61), -np.logspace(-12, 12, 61), np.full(61, 5e-324)],
@@ -71,29 +75,30 @@ def test_polylines_equal_scalar_reference(tmp_path, x, series):
     assert written_points(tmp_path, x, series) == reference_points(x, series)
 
 
-def _with_inf(values, at):
-    values = np.array(values, dtype=float)
-    values[at] = np.inf
-    return values
-
-
-# Finite data map into the plot box, so a coordinate falls back to the
-# per-value "%.2f" only as nan: an infinite x gives nan at its own point
-# (every finite x sits at the left margin), and an infinite y makes every
-# y nan.  The polylines are written 4,096 points per chunk.
-FALLBACK_CASES = {
-    "x-on-chunk-edge": (_with_inf(np.arange(8193) / 8192.0, [4095, 4096]), [np.sin(np.arange(8193) / 50.0)]),
-    "y-on-chunk-edge": (np.arange(8193) / 8192.0, [np.cos(np.arange(8193) / 50.0), _with_inf(np.zeros(8193), 4096)]),
-    "single-point": ([np.inf], [[0.3], [0.7]]),
+# Data the writer cannot place raise before the file is opened, with no
+# numpy warning on the way.  A constant axis is widened by 1.0 (x) or 0.5
+# each way (y), which vanishes next to 1e300.
+REJECTED_CASES = {
+    "infinite-x": ([0.0, np.inf], [[0.2, 0.3]], "cannot place"),
+    "nan-y": ([0.0, 0.5, 1.0], [[0.2, 0.3, 0.4], [0.1, np.nan, 0.3]], "cannot place"),
+    "overflowing-x-span": ([-1e308, 1e308], [[0.2, 0.3]], "cannot place"),
+    # The y span, 1.7e308, is finite; padded by 5% each way it is not.
+    "overflowing-padded-y-span": ([0.0, 1.0], [[0.0, 1.7e308]], "cannot place"),
+    "empty-x": ([], [[]], "nothing to plot"),
+    "no-series": ([0.0, 1.0], [], "nothing to plot"),
+    "vanishing-x-span": ([1e300], [[0.3]], "cannot place"),
+    "vanishing-y-span": ([0.0, 1.0], [[1e300, 1e300]], "cannot place"),
 }
 
 
-@pytest.mark.parametrize("x, series", list(FALLBACK_CASES.values()), ids=list(FALLBACK_CASES))
-def test_fallback_coordinates_equal_scalar_reference(tmp_path, x, series):
-    with np.errstate(invalid="ignore"):  # inf / inf in the coordinates is the point
-        points = written_points(tmp_path, x, series)
-    assert points == reference_points(x, series)
-    assert any("nan" in p for p in points)
+@pytest.mark.parametrize("x, series, message", list(REJECTED_CASES.values()), ids=list(REJECTED_CASES))
+def test_unplaceable_data_are_rejected(tmp_path, x, series, message):
+    path = tmp_path / "plot.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            write_line_plot(str(path), x, series, [f"s{i}" for i in range(len(series))], "t", "x", "y")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("n_series, n_labels", [(3, 1), (1, 2)])

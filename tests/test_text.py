@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abring._text import CHUNK_VALUES, Column, rows
+from abring._text import CHUNK_VALUES, rows
 
 FORMATS = ["%.17g", "%.2f"]
 
@@ -164,21 +164,21 @@ def test_no_rows():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_column_with_fallbacks_on_chunk_edges(fmt):
-    # Two columns take CHUNK_VALUES // 2 rows per chunk; a Column formats
-    # CHUNK_VALUES values at a time, and the last of its pieces here holds
-    # only fallback values.
-    half = CHUNK_VALUES // 2
+    # Two columns take CHUNK_VALUES // 2 rows per chunk and three take
+    # CHUNK_VALUES // 3; values that take the per-value % sit on both sides
+    # of those edges, and the last five rows of x hold nothing else.
+    half, third = CHUNK_VALUES // 2, CHUNK_VALUES // 3
     n = 2 * CHUNK_VALUES + 5
     x = np.linspace(0.25, 900.0, n)
-    x[[0, half - 1, half, CHUNK_VALUES - 1, CHUNK_VALUES]] = [np.nan, -3.25, 1e5, -0.0, 2.5e17]
+    x[[0, third - 1, third, half - 1, half, CHUNK_VALUES - 1, CHUNK_VALUES]] = [
+        np.nan, np.inf, -1e-300, -3.25, 1e5, -0.0, 2.5e17]
     x[2 * CHUNK_VALUES :] = [np.inf, -np.inf, np.nan, -1.0, 1e300]
     y = np.linspace(-2.0, 5e4, n)
-    y[[half - 1, half, n - 1]] = [np.nan, 1e5, -7.5]
+    y[[third - 1, 2 * third, half - 1, half, n - 1]] = [-np.inf, 0.0, np.nan, 1e5, -7.5]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shared = Column(x, fmt)
-        got = b"".join(rows([shared, y], fmt, b", ", end=b"|"))
-        again = b"".join(rows([y, shared, y], fmt, b";,\n"))
+        got = b"".join(rows([x, y], fmt, b", ", end=b"|"))
+        again = b"".join(rows([y, x, y], fmt, b";,\n"))
     assert got == (" ".join(f"{fmt % a},{fmt % b}" for a, b in zip(x.tolist(), y.tolist())) + "|").encode("ascii")
     assert again == "".join(f"{fmt % b};{fmt % a},{fmt % b}\n" for a, b in zip(x.tolist(), y.tolist())).encode("ascii")
 
@@ -186,5 +186,6 @@ def test_column_with_fallbacks_on_chunk_edges(fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("value", [0.5, np.nan, -1.0, 1e5])
 def test_column_of_one_value(fmt, value):
-    got = b"".join(rows([Column([value], fmt), [2.0]], fmt, b" \n"))
-    assert got == f"{fmt % value} {fmt % 2.0}\n".encode("ascii")
+    assert b"".join(rows([[value], [2.0]], fmt, b" \n")) == f"{fmt % value} {fmt % 2.0}\n".encode("ascii")
+    got = b"".join(rows([[2.0], [value], [value]], fmt, b" ,\n"))
+    assert got == f"{fmt % 2.0} {fmt % value},{fmt % value}\n".encode("ascii")
