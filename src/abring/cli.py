@@ -28,7 +28,9 @@ from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
 from .smatrix import factorized_family, generic_family, rigidity_report
 from .svgplot import write_line_plot
-from .transport import double_slit_visibility, dot_arm_rms, sweep_lambda, sweep_phase
+from .transport import (
+    double_slit_visibility, dot_arm_rms, out_of_range, phase_grid, sweep_lambda, sweep_phase
+)
 from .verify import run_all
 
 __all__ = ["main"]
@@ -62,17 +64,18 @@ def _warn_out_of_range(lam: float, bad: int) -> None:
 def cmd_sweep_phase(cfg: RunConfig) -> int:
     """Transmission over one flux period, one column per detector overlap."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    sweep = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
-    for lam, bad in zip(sweep.lambdas, sweep.out_of_range()):
+    values = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
+    for lam, bad in zip(cfg.lambda_list, out_of_range(values)):
         _warn_out_of_range(lam, bad)
+    phis = phase_grid(cfg.n_phi)
     csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
     header = ["phi"] + ["T_lambda=%.17g" % lam for lam in cfg.lambda_list]
-    _write_csv(csv_path, header, [sweep.phis, *sweep.values])
+    _write_csv(csv_path, header, [phis, *values])
     svg_path = os.path.join(cfg.out_dir, "phase_sweep.svg")
     write_line_plot(
         svg_path,
-        sweep.phis,
-        sweep.values,
+        phis,
+        values,
         [f"lambda = {lam:g}" for lam in cfg.lambda_list],
         title="Transmission vs flux phase",
         xlabel="phi (rad)",
@@ -89,10 +92,9 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     arm_a = float(abs(amplitude_t0(cfg.ring, 0.0)))
     arm_b = dot_arm_rms(cfg.ring)
-    lams, closed, slit = [], [], []
-    for lam, vis, bad in sweep_lambda(cfg.ring, cfg.lambda_list, cfg.n_phi):
+    lams, closed, slit = cfg.lambda_list, [], []
+    for lam, (vis, bad) in zip(lams, sweep_lambda(cfg.ring, lams, cfg.n_phi)):
         _warn_out_of_range(lam, bad)
-        lams.append(lam)
         closed.append(vis)
         slit.append(double_slit_visibility(arm_a, arm_b, lam))
     csv_path = os.path.join(cfg.out_dir, "visibility.csv")

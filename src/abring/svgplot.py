@@ -7,8 +7,10 @@ artifact of record; these plots are a quick visual check only.
 Polyline coordinates are computed on whole arrays and formatted in bulk,
 byte for byte as per-value ``'%.2f' % v`` would format them (``_text``).
 Data whose spans are not positive and finite are rejected, so every
-coordinate lies inside the plot box.  The document goes to the open file
-piece by piece, so no polyline is ever held as a string.
+coordinate lies inside the plot box.  Titles and labels are escaped as
+XML character data, so any text gives a well-formed file.  The document
+goes to the open file piece by piece, so no polyline is ever held as a
+string.
 
 The array expressions must keep the scalar operation order,
 ``MARGIN_L + (x - x_lo) / (x_hi - x_lo) * inner_w``: elementwise IEEE
@@ -20,6 +22,7 @@ one ulp, which changes a printed digit when it sits on a decimal tie.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Sequence
 
 import numpy as np
@@ -85,13 +88,16 @@ def write_line_plot(
         def put(*lines: str) -> None:
             fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
+        def text(s: str) -> str:  # character data: escape &, < and >
+            return escape(s, quote=False)
+
         axis_color = "#333333"
         put(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>',
+            f'font-family="sans-serif" font-size="15">{text(title)}</text>',
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" height="{inner_h}" '
             f'fill="none" stroke="{axis_color}" stroke-width="1"/>',
         )
@@ -113,10 +119,10 @@ def write_line_plot(
             )
         put(
             f'<text x="{MARGIN_L + inner_w / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>',
+            f'font-family="sans-serif" font-size="13">{text(xlabel)}</text>',
             f'<text x="18" y="{MARGIN_T + inner_h / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{ylabel}</text>',
+            f'transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">{text(ylabel)}</text>',
         )
         for i, (y, label) in enumerate(zip(ys, labels)):
             color = PALETTE[i % len(PALETTE)]
@@ -128,6 +134,7 @@ def write_line_plot(
                 f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="1.5"/>',
-                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>',
+                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
+                f'{text(label)}</text>',
             )
         put("</svg>")

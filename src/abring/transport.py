@@ -13,6 +13,9 @@ provided for comparison.
 
 Only the interference term depends on the overlap, so a sweep evaluates
 ``t0`` and ``t1`` once on its phase grid and forms one row per overlap.
+A sweep returns only what it computes: ``sweep_phase`` the array of rows
+on ``phase_grid(n_points)``, ``sweep_lambda`` one (visibility,
+``out_of_range`` count) pair per overlap.  The caller keeps its overlaps.
 
 Thermal smearing integrates an energy-resolved transmission against the
 negative derivative of the Fermi function.
@@ -31,7 +34,6 @@ from .errors import ValidityError
 from .ring import RingParams, amplitude_t0, amplitude_t1
 
 __all__ = [
-    "PhaseSweep",
     "ThermalConfig",
     "transmission",
     "thermal_transmission",
@@ -39,6 +41,7 @@ __all__ = [
     "phase_grid",
     "sweep_phase",
     "sweep_lambda",
+    "out_of_range",
     "double_slit_visibility",
     "dot_arm_rms",
     "rigidity_asymmetry",
@@ -79,43 +82,25 @@ def phase_grid(n_points: int) -> NDArray[np.float64]:
         raise ValidityError(f"phase grid of {n_points} points does not fit in memory") from exc
 
 
-def _count_out_of_range(values: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Number of values outside [0, 1] along the last axis."""
+def out_of_range(values: ArrayLike) -> NDArray[np.intp]:
+    """Number of values outside [0, 1] along the last axis.
+
+    Sweeps never clamp; out-of-range points signal that the single-visit
+    amplitudes were pushed outside their validity.
+    """
+    values = np.asarray(values)
     return np.count_nonzero((values < 0.0) | (values > 1.0), axis=-1)
 
 
-@dataclass(frozen=True)
-class PhaseSweep:
-    """Transmission on a ``phase_grid``; ``values[i]`` is T(phis) at ``lambdas[i]``."""
-
-    phis: NDArray[np.float64]
-    lambdas: tuple
-    values: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        phis = np.asarray(self.phis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "values", values)
-        if phis.ndim != 1 or phis.size == 0 or values.shape != (len(self.lambdas), phis.size):
-            raise ValidityError("sweep needs a 1-d phase array and one value row per overlap")
-
-    def out_of_range(self) -> NDArray[np.intp]:
-        """Number of values outside [0, 1] in each row.
-
-        Values are never clamped; out-of-range points signal that the
-        single-visit amplitudes were pushed outside their validity.
-        """
-        return _count_out_of_range(self.values)
-
-
-def sweep_phase(params: RingParams, lambdas: Sequence[complex], n_points: int) -> PhaseSweep:
-    """Transmission on ``phase_grid(n_points)``, one row per overlap in ``lambdas``."""
+def sweep_phase(
+    params: RingParams, lambdas: Sequence[complex], n_points: int
+) -> NDArray[np.float64]:
+    """Transmission on ``phase_grid(n_points)``; row ``i`` is T(phis) at ``lambdas[i]``."""
     phis = phase_grid(n_points)
     values = np.empty((len(lambdas), n_points))
     for i, row in enumerate(_dephased(params, phis, lambdas)):
         values[i] = row
-    return PhaseSweep(phis=phis, lambdas=tuple(lambdas), values=values)
+    return values
 
 
 def visibility(values: ArrayLike) -> float:
@@ -134,14 +119,14 @@ def visibility(values: ArrayLike) -> float:
 
 def sweep_lambda(
     params: RingParams, lambdas: Sequence[float], n_points: int
-) -> list[tuple[float, float, int]]:
-    """(lambda, visibility, out-of-range count) per real overlap, each row reduced as made."""
+) -> list[tuple[float, int]]:
+    """(visibility, out-of-range count) per real overlap, each row reduced as made."""
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
-    rows = zip(lambdas, _dephased(params, phase_grid(n_points), lambdas))
-    return [(lam, visibility(row), int(_count_out_of_range(row))) for lam, row in rows]
+    rows = _dephased(params, phase_grid(n_points), lambdas)
+    return [(visibility(row), int(out_of_range(row))) for row in rows]
 
 
 def double_slit_visibility(a: float, b: float, lam: float) -> float:

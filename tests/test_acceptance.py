@@ -51,7 +51,7 @@ def test_criterion_01_width_ratio(ring):
 
 def test_criterion_02_residual_visibility(ring):
     start = time.perf_counter()
-    vis = visibility(sweep_phase(ring, [0.0], 720).values[0])
+    vis = visibility(sweep_phase(ring, [0.0], 720)[0])
     # Independent dense-grid scan straight from the closed forms.
     phi = np.arange(200_000) * (2.0 * np.pi / 200_000)
     x, v, eps_d = 0.4, 0.75, 1.25

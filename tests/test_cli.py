@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from abring import RingParams, sweep_phase
 from abring.cli import _write_csv, build_parser, main
+from abring.transport import phase_grid
 
 SWEEP_MIN = 342961.0 / 707281.0
 SWEEP_MAX = 530881.0 / 707281.0
@@ -81,9 +82,9 @@ class TestSweepPhase:
         assert raw.endswith(b"\n")
         # 17 significant digits round-trip to the exact computed floats
         _, data = read_csv(out / "phase_sweep.csv")
-        sweep = sweep_phase(RingParams.from_x(0.4, 0.75, 1.25), [0.0], 720)
-        assert np.array_equal(data[:, 1], sweep.values[0])
-        assert np.array_equal(data[:, 0], sweep.phis)
+        (values,) = sweep_phase(RingParams.from_x(0.4, 0.75, 1.25), [0.0], 720)
+        assert np.array_equal(data[:, 1], values)
+        assert np.array_equal(data[:, 0], phase_grid(720))
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

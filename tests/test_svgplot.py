@@ -4,6 +4,7 @@ import inspect
 import re
 import tracemalloc
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -141,3 +142,11 @@ def test_document_is_streamed(tmp_path):
     # Holding the document as one string, or its polylines as a list of
     # strings, costs more than the whole file.
     assert peak < path.stat().st_size / 2
+
+
+def test_text_is_escaped(tmp_path):
+    path = tmp_path / "p.svg"
+    write_line_plot(str(path), [0.0, 1.0], [[0.1, 0.2]], ["R&D"], "T < 1", "x > 0", "<y>")
+    texts = [el.text for el in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "T < 1"
+    assert texts[-3:] == ["x > 0", "<y>", "R&D"]
