@@ -18,7 +18,10 @@ on its own, and the leftover quantifies the truncation error.
 ``ResolventModel(params, phi)`` is the whole model.  It assembles
 ``g^{-1} - H`` at the Fermi energy from the ring, so ``H`` is Hermitian by
 construction and the only checks are those ``RingParams`` makes when it is
-built.  The energy enters only the dot entry, as ``E - eps_d``, so it
+built.  One builder makes that matrix for one ring or for a sequence of
+rings, each at its phase; ``fermi_amplitudes`` and ``second_order_amplitude``
+solve a sequence as one stack, and each ring's amplitude keeps the bits of
+its own solve.  The energy enters only the dot entry, as ``E - eps_d``, so it
 reaches the amplitude through one scalar, the dot's Schur complement
 ``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from the lead
 block ``B`` and the dot hops ``c`` and ``r``.  A model makes one LAPACK
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,10 +51,50 @@ from .ring import RingParams, amplitude_t0, amplitude_t1
 __all__ = [
     "ResolventModel",
     "exact_amplitude",
+    "fermi_amplitudes",
     "second_order_amplitude",
     "truncation_residual",
     "energy_resolved_transmission",
 ]
+
+# One ring, or a sequence of rings solved as one stack.
+Rings = RingParams | Sequence[RingParams]
+# Inject at L: the solve's column of G, whose R entry is G_RL.
+_INJECT_L = np.array([1.0, 0.0, 0.0], dtype=complex)
+
+
+def _ring_fields(rings: Rings):
+    """``rho``, ``v_mag`` and ``eps_d`` of one ring, or arrays of them over a sequence."""
+    if isinstance(rings, RingParams):
+        return rings.rho, rings.v_mag, rings.eps_d
+    return np.array([(r.rho, r.v_mag, r.eps_d) for r in rings], dtype=float).reshape(-1, 3).T
+
+
+def _norm_const(rho):
+    """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
+    return 2j / (np.pi * rho)
+
+
+def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
+    """g^{-1} - H at the Fermi energy, as a fresh C-ordered array.
+
+    One ring at a float phase gives a 3x3 matrix; a sequence of n rings
+    with an array of n phases gives an (n, 3, 3) stack of the same bits.
+    """
+    rho, v, eps_d = _ring_fields(rings)
+    # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
+    # L->R transmission picks up e^{-i phi}.
+    w = np.exp(1j * phi)
+    # The leads' 1/g_lead, with g_lead = -i pi rho, negated here so that the
+    # one negation below, exact for every bit, restores it.
+    lead = -(1.0 / (-1j * (np.pi * rho)))
+    # Written transposed: .T then puts the ring axis first and each matrix
+    # back the right way round.
+    m_t = np.array([[lead, np.conj(w), v], [w, lead, v], [v, v, eps_d]], dtype=complex)
+    a = np.negative(m_t.T, order="C")
+    a[..., 2, 2] = -eps_d  # a real dot entry: its imaginary part is +0.0
+    return a
+
 
 
 @dataclass(frozen=True)
@@ -69,8 +113,8 @@ class ResolventModel:
 
     def __post_init__(self) -> None:
         # The model's one LAPACK call: inject at L, read out at R, at E = 0.
-        a = self._inverse_propagator()
-        col = np.linalg.solve(a, np.array([1.0, 0.0, 0.0], dtype=complex))[1]
+        a = _inverse_propagator(self.params, self.phi)
+        col = np.linalg.solve(a, _INJECT_L)[1]
         # The lead block B has det = -(1/(pi rho))^2 - 1, never 0, so its 2x2
         # adjugate inverts it.  With c and r the dot's hops, u = B^{-1} c,
         # w = r B^{-1} and Sigma = r u.
@@ -89,21 +133,7 @@ class ResolventModel:
     @property
     def norm_const(self) -> complex:
         """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
-        return 2j / (np.pi * self.params.rho)
-
-    def _inverse_propagator(self) -> NDArray[np.complex128]:
-        """g^{-1} - H at the Fermi energy, as a fresh array."""
-        # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
-        # L->R transmission picks up e^{-i phi}.
-        p = self.params
-        w = np.exp(1j * self.phi)
-        v = p.v_mag
-        a = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
-        g_lead = -1j * (np.pi * p.rho)
-        a[0, 0] += 1.0 / g_lead
-        a[1, 1] += 1.0 / g_lead
-        a[2, 2] = -p.eps_d
-        return a
+        return _norm_const(self.params.rho)
 
     def _energy_error(self, energy: float) -> ValueError:
         """Why ``energy`` has no finite amplitude (see the module docstring)."""
@@ -148,23 +178,34 @@ def exact_amplitude(params: RingParams, phi: float, energy=0.0):
     return ResolventModel(params, phi).amplitude(energy)
 
 
-def second_order_amplitude(params: RingParams, phi: float) -> complex:
+def fermi_amplitudes(rings: Sequence[RingParams], phis) -> NDArray[np.complex128]:
+    """``exact_amplitude(rings[k], phis[k])`` for each k, from one stacked solve.
+
+    Each element keeps the bits of its ring's own model.
+    """
+    a = _inverse_propagator(rings, phis)
+    return _norm_const(_ring_fields(rings)[0]) * np.linalg.solve(a, _INJECT_L)[..., 1]
+
+
+def second_order_amplitude(params: Rings, phi):
     """Order-``V^2`` part of the exact amplitude at the Fermi energy.
 
     Composes the numerically inverted dot-decoupled resolvent with two dot
     hops, ``G0 Hv G0 Hv G0``; no closed-form ring algebra is reused, so a
     match against ``amplitude_t1`` is a genuine cross-validation.  The
     energy enters only as ``E - eps_d``, so the value at an energy ``E`` is
-    that of the ring with ``eps_d - E`` as its dot level.
+    that of the ring with ``eps_d - E`` as its dot level.  A sequence of
+    rings with as many phases gives an array from one stacked inverse and
+    product chain, each element bit for bit its ring's own.
     """
-    model = ResolventModel(params, phi)
-    a = model._inverse_propagator()
+    a = _inverse_propagator(params, phi)
     a0 = a.copy()
-    a0[:2, 2] = a0[2, :2] = 0.0  # cut the four dot hops
+    a0[..., :2, 2] = a0[..., 2, :2] = 0.0  # cut the four dot hops
     hv = a0 - a
     g0 = np.linalg.inv(a0)
     g2 = g0 @ hv @ g0 @ hv @ g0
-    return complex(model.norm_const * g2[1, 0])
+    amplitude = _norm_const(_ring_fields(params)[0]) * g2[..., 1, 0]
+    return complex(amplitude) if isinstance(params, RingParams) else amplitude
 
 
 def truncation_residual(params: RingParams, phi: float) -> float:

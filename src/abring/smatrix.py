@@ -37,7 +37,13 @@ at a phase array of shape ``(...)`` is ``(n, ..., d, d)``, and every array
 of ``rigidity_report`` gains the same leading axis.  Each seed keeps its
 own ``default_rng(seed)`` and draw order, so family ``k`` of a stack is
 bit-identical to the family built from seed ``k`` alone; an int seed is
-the same code with no family axis.
+the same code with no family axis.  A sequence must not be empty, and the
+ring and detector seeds of ``factorized_family`` must have the same length.
+
+A generator makes one GEMM per family: its phases stack into the rows of
+one ``(P d, d)`` matrix, which is multiplied by ``Q1`` at once, with the
+bits of the ``P`` separate ``d x d`` products.  The unitarity check sums
+each Gram matrix ``S^dagger S`` in real arithmetic over the whole stack.
 """
 
 from __future__ import annotations
@@ -79,9 +85,27 @@ def _transpose(m: NDArray) -> NDArray:
 
 
 def _unitarity_defect(m: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Largest entry of |M^dagger M - 1| for each matrix of a stack."""
-    eye = np.eye(m.shape[-1])
-    return np.max(np.abs(_transpose(m.conj()) @ m - eye), axis=(-2, -1))
+    """Largest entry of |M^dagger M - 1| for each matrix of a stack.
+
+    The Gram matrix is summed in real arithmetic with the stack axis last,
+    ``Re = X^T X + Y^T Y`` and ``Im = X^T Y - (X^T Y)^T`` for ``M = X + iY``,
+    where a stacked ``@`` would make one BLAS call per matrix.  A NaN or an
+    infinity in M gives a NaN or infinite defect.
+    """
+    d = m.shape[-1]
+    flat = m.reshape(-1, d, d)
+    planes = np.empty((2, d, d, flat.shape[0]))  # (re/im, k, i, matrix)
+    planes[0] = np.moveaxis(flat.real, 0, -1)
+    planes[1] = np.moveaxis(flat.imag, 0, -1)
+    xty = np.einsum("kin,kjn->ijn", planes[0], planes[1])
+    both = planes.reshape(2 * d, d, -1)  # X and Y stacked along k
+    gram_re = np.einsum("kin,kjn->ijn", both, both)
+    del planes, both  # a stack of S in size, freed before the next temporaries
+    gram_im = xty - xty.swapaxes(0, 1)
+    gram_re -= np.eye(d)[..., None]
+    np.square(gram_re, out=gram_re)
+    gram_re += np.square(gram_im, out=gram_im)
+    return np.sqrt(np.max(gram_re, axis=(0, 1))).reshape(m.shape[:-2])
 
 
 def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str) -> None:
@@ -120,9 +144,11 @@ def _kron(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.co
     return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
-def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> NDArray[np.complex128]:
-    """Complex Gaussian matrices; each draws its real part, then its imaginary part."""
-    x = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+def _complex(x: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Complex matrices from real draws whose axis -3 holds the real, then the imaginary part.
+
+    Formed once for a whole stack of seeds, with the bits of each seed's own.
+    """
     return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
@@ -143,8 +169,14 @@ def _per_seed(seed: Seeds, draw: Callable[[np.random.Generator], tuple]) -> list
     gives none.
     """
     seeds = np.asarray(seed, dtype=object)
+    if seeds.size == 0:
+        raise ValueError("a sequence of seeds must not be empty")
     draws = [draw(np.random.default_rng(s)) for s in seeds.flat]
     return [np.stack(parts).reshape(seeds.shape + parts[0].shape) for parts in zip(*draws)]
+
+
+def _seed_count(seed: Seeds, what: str) -> str:
+    return f"an int {what} seed" if np.ndim(seed) == 0 else f"{len(seed)} {what} seeds"
 
 
 def seeded_generator(seed: Seeds, dim: int = 4) -> Family:
@@ -156,18 +188,26 @@ def seeded_generator(seed: Seeds, dim: int = 4) -> Family:
     """
 
     def draw(rng: np.random.Generator) -> tuple:
-        return _complex_gaussian(rng, (2, dim, dim)), rng.integers(-2, 3, size=dim)
+        return rng.standard_normal((2, 2, dim, dim)), rng.integers(-2, 3, size=dim)
 
-    z, windings = _per_seed(seed, draw)
-    q = _orthonormalize(z)
+    x, windings = _per_seed(seed, draw)
+    q = _orthonormalize(_complex(x))
     q0, q1 = q[..., 0, :, :], q[..., 1, :, :]
     lead = windings.shape[:-1]
 
     def u_of_phi(phi: ArrayLike) -> NDArray[np.complex128]:
         phi = np.asarray(phi, dtype=float)
-        axes = lead + (1,) * phi.ndim  # family axes, then room for the phase axes
-        phase = np.exp(1j * windings.reshape(axes + (dim,)) * phi[..., None])
-        return (q0.reshape(axes + (dim, dim)) * phase[..., None, :]) @ q1.reshape(axes + (dim, dim))
+        flat = phi.reshape(-1)
+        # exp(i n phi) for the five windings at each phase, then each
+        # family's own picked out: n phi is exact, so these are the bits of
+        # one exp per family, phase and winding.
+        spins = np.exp(1j * np.arange(-2, 3)[:, None] * flat)
+        phase = spins[windings[..., None, :] + 2, np.arange(flat.size)[:, None]]
+        left = q0[..., None, :, :] * phase[..., None, :]  # family, phase, then d x d axes
+        # Each family's phases stack into the rows of one (P d, d) matrix, so
+        # Q1 multiplies them in one GEMM, bit for bit the P products of d x d.
+        u = left.reshape(lead + (-1, dim)) @ q1
+        return u.reshape(lead + phi.shape + (dim, dim))
 
     return u_of_phi
 
@@ -228,8 +268,8 @@ def random_symmetric_unitary(seed: Seeds) -> NDArray[np.complex128]:
 
     A sequence of seeds gives an ``(n, 2, 2)`` stack.
     """
-    (z,) = _per_seed(seed, lambda rng: (_complex_gaussian(rng, (2, 2)),))
-    q = _orthonormalize(z)
+    (x,) = _per_seed(seed, lambda rng: (rng.standard_normal((2, 2, 2)),))
+    q = _orthonormalize(_complex(x))
     return _transpose(q) @ q
 
 
@@ -261,8 +301,14 @@ def generic_family(seed: Seeds) -> TwoParticleSMatrix:
 def factorized_family(ring_seed: Seeds, detector_seed: Seeds) -> TwoParticleSMatrix:
     """Seeded ring family times a seeded symmetric detector: rigid.
 
-    Sequences of ring and detector seeds pair up element by element.
+    Sequences of ring and detector seeds pair up element by element, so
+    they must have the same length; two ints build one family.
     """
+    if np.shape(ring_seed) != np.shape(detector_seed):
+        raise ValueError(
+            f"ring and detector seeds must pair up element by element, got "
+            f"{_seed_count(ring_seed, 'ring')} and {_seed_count(detector_seed, 'detector')}"
+        )
     return factorized_s(reciprocal_ring_family(ring_seed), random_symmetric_unitary(detector_seed))
 
 

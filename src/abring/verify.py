@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidityError
-from .oracle import exact_amplitude, second_order_amplitude
+from .oracle import exact_amplitude, fermi_amplitudes, second_order_amplitude
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
 from .smatrix import TwoParticleSMatrix, factorized_family, generic_family, rigidity_report
 
@@ -42,9 +42,11 @@ TRUNCATION_TOL = 16.0
 TRUNCATION_FLOOR = 512.0
 TRUNCATION_PHASES = (0.0, np.pi / 3.0, 2.0 * np.pi / 3.0, np.pi)
 # Families per stack in rigidity_suite.  One stack of all 1,000 generic
-# families took `abring verify` from 37 to 93 MB peak RSS; stacks of 16
-# cost under 1 MB and run as fast as stacks of 32.
-_FAMILY_BLOCK = 16
+# families took `abring verify` from 37 to 93 MB peak RSS.  Against stacks
+# of 16, stacks of 32 took the suite from 211 to 188 ms (median CPU time of
+# 40 interleaved rounds, 2-core VM, faster in 39) and `abring verify` from
+# 39.5 to 40.3 MiB peak RSS (ru_maxrss, three runs each).
+_FAMILY_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -70,32 +72,48 @@ def _report(name: str, label: str, gaps: Iterable[float], tol: float) -> SuiteRe
     return SuiteResult(name, bool(worst < tol), detail)
 
 
-def _random_ring(rng: np.random.Generator) -> RingParams:
-    """Valid off-resonance parameters with broad coupling coverage."""
-    x = rng.uniform(0.05, 3.0)
-    v = rng.uniform(0.1, 1.5)
-    gamma = x * v * v / (1.0 + x * x)
-    ratio = rng.uniform(0.02, 0.24)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return RingParams.from_x(x, v, sign * gamma / ratio)
+# Each ring draw takes x, |V|, Gamma/|eps_d|, the sign of eps_d and phi, in
+# this order, uniform between these bounds.  Each calibration draw takes x
+# and phi.  A whole suite's draws come from one rng.uniform call, which
+# gives the bits of the same draws made one scalar at a time.
+_RING_BOUNDS = ((0.05, 0.1, 0.02, 0.0, -np.pi), (3.0, 1.5, 0.24, 1.0, np.pi))
+_CALIBRATION_BOUNDS = ((0.05, -np.pi), (3.0, np.pi))
 
 
-def _ring_draws(seed: int, n_draws: int):
-    """Seeded ``(ring, phi, t1)`` draws shared by the single-visit suites."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_draws):
-        params, phi = _random_ring(rng), rng.uniform(-np.pi, np.pi)
-        yield params, phi, complex(amplitude_t1(params, phi))
+def _uniform_rows(seed: int, bounds: tuple, n_draws: int) -> list[list[float]]:
+    """``n_draws`` rows of seeded uniforms, one column per bound, as Python floats."""
+    return np.random.default_rng(seed).uniform(*bounds, size=(n_draws, len(bounds[0]))).tolist()
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of the scalar abs(z), which np.abs on an array does not keep."""
+    return np.hypot(z.real, z.imag)
+
+
+def _ring_draws(seed: int, n_draws: int) -> tuple[list[RingParams], list[float], list[complex]]:
+    """Seeded valid off-resonance rings with broad coupling coverage, their phases and t1.
+
+    Shared by the single-visit suites; ``t1`` is evaluated one ring at a time.
+    """
+    rings, phis = [], []
+    for x, v, ratio, sign_draw, phi in _uniform_rows(seed, _RING_BOUNDS, n_draws):
+        gamma = x * v * v / (1.0 + x * x)
+        sign = 1.0 if sign_draw < 0.5 else -1.0
+        rings.append(RingParams.from_x(x, v, sign * gamma / ratio))
+        phis.append(phi)
+    t1 = [complex(amplitude_t1(p, phi)) for p, phi in zip(rings, phis)]
+    return rings, phis, t1
 
 
 def calibration_suite(seed: int) -> SuiteResult:
-    """Dot-decoupled resolvent must equal the direct closed form."""
-    rng = np.random.default_rng(seed)
-    gaps = np.empty(CALIBRATION_DRAWS)
-    for k in range(CALIBRATION_DRAWS):
-        params = RingParams.from_x(rng.uniform(0.05, 3.0), 0.0, 1.0)
-        phi = rng.uniform(-np.pi, np.pi)
-        gaps[k] = abs(exact_amplitude(params, phi) - amplitude_t0(params, phi))
+    """Dot-decoupled resolvent must equal the direct closed form.
+
+    The rings are solved as one stack; ``t0`` is evaluated one ring at a time.
+    """
+    xs, phis = zip(*_uniform_rows(seed, _CALIBRATION_BOUNDS, CALIBRATION_DRAWS))
+    rings = [RingParams.from_x(x, 0.0, 1.0) for x in xs]
+    t0 = np.array([amplitude_t0(p, phi) for p, phi in zip(rings, phis)])
+    gaps = _abs(fermi_amplitudes(rings, np.array(phis)) - t0)
     return _report("oracle-calibration", "max |A(V=0) - t0|", gaps, CALIBRATION_TOL)
 
 
@@ -103,12 +121,11 @@ def second_order_suite(seed: int) -> SuiteResult:
     """Order-V^2 resolvent content must reproduce the single-visit amplitude.
 
     The normalization is the one frozen by the calibration suite; nothing
-    is refit here.
+    is refit here.  The rings are solved as one stack.
     """
-    gaps = (
-        abs(second_order_amplitude(params, phi) - t1) / abs(t1)
-        for params, phi, t1 in _ring_draws(seed, SECOND_ORDER_DRAWS)
-    )
+    rings, phis, t1 = _ring_draws(seed, SECOND_ORDER_DRAWS)
+    t1 = np.array(t1)
+    gaps = _abs(second_order_amplitude(rings, np.array(phis)) - t1) / _abs(t1)
     return _report("oracle-second-order", "max rel |A2 - t1|", gaps, SECOND_ORDER_RTOL)
 
 
@@ -175,7 +192,7 @@ def diagram_sum_suite(seed: int) -> SuiteResult:
     gaps = (
         abs(diagram_components(p, phi).total - t1)
         / (2.0 * abs(p.gamma / p.eps_d) * (1.0 + p.x) ** 2 / (1.0 + p.x**2))
-        for p, phi, t1 in _ring_draws(seed, DIAGRAM_DRAWS)
+        for p, phi, t1 in zip(*_ring_draws(seed, DIAGRAM_DRAWS))
     )
     return _report("diagram-sum", "max |sum - t1| / sum |c|", gaps, DIAGRAM_RTOL)
 

@@ -13,7 +13,12 @@ from abring import (
     exact_amplitude,
     truncation_residual,
 )
-from abring.oracle import ResolventModel, second_order_amplitude
+from abring.oracle import (
+    ResolventModel,
+    _inverse_propagator,
+    fermi_amplitudes,
+    second_order_amplitude,
+)
 from abring.ring import amplitude_t0, amplitude_t1
 from test_ring import random_valid_ring
 
@@ -37,7 +42,7 @@ class TestCalibration:
     def test_inverse_propagator_entries(self, ref_ring):
         # g^{-1} - H at E = 0: lead entries 1/g_lead, dot entry -eps_d,
         # and a Hermitian hop part off the diagonal.
-        a = ResolventModel(ref_ring, 1.234)._inverse_propagator()
+        a = _inverse_propagator(ref_ring, 1.234)
         hops = a - np.diag(np.diag(a))
         assert_allclose(hops, hops.conj().T, atol=1e-15)
         assert_allclose(np.diag(a)[:2], 1.0 / (-1j * np.pi * ref_ring.rho), rtol=1e-15)
@@ -75,13 +80,51 @@ class TestSecondOrder:
         for _ in range(100):
             p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
             energy = rng.uniform(-0.2, 0.2)
-            a = ResolventModel(p, phi)._inverse_propagator()
+            a = _inverse_propagator(p, phi)
             a[2, 2] = energy - p.eps_d
             shifted = replace(p, eps_d=p.eps_d - energy, validate_off_resonance=False)
-            assert ResolventModel(shifted, phi)._inverse_propagator().tobytes() == a.tobytes()
+            assert _inverse_propagator(shifted, phi).tobytes() == a.tobytes()
         # At E = eps_d, the pole, the shifted level is 0, which RingParams names.
         with pytest.raises(ValidityError, match=r"^eps_d must be finite and nonzero"):
             replace(p, eps_d=p.eps_d - p.eps_d, validate_off_resonance=False)
+
+
+def _rings_and_phases(rng, n):
+    """Drawn rings, dot-decoupled ones among them, and a phase each."""
+    rings = [
+        random_valid_ring(rng) if k % 3 else RingParams.from_x(rng.uniform(0.05, 3.0), 0.0, 1.0)
+        for k in range(n)
+    ]
+    return rings, rng.uniform(-np.pi, np.pi, n)
+
+
+class TestStacks:
+    """A sequence of rings is solved as one stack, each ring with its own bits."""
+
+    def test_builder_equals_the_entrywise_matrix(self, rng):
+        # g^-1 - H written entry by entry, as a negated hop matrix plus the
+        # leads' 1/g_lead and the dot entry; tobytes() also tells signed zeros apart.
+        rings, phis = _rings_and_phases(rng, 300)
+        for p, phi in zip(rings, phis.tolist()):
+            w, v = np.exp(1j * phi), p.v_mag
+            a = -np.array([[0.0, w, v], [np.conj(w), 0.0, v], [v, v, 0.0]], dtype=complex)
+            g_lead = -1j * (np.pi * p.rho)
+            a[0, 0] += 1.0 / g_lead
+            a[1, 1] += 1.0 / g_lead
+            a[2, 2] = -p.eps_d
+            assert _inverse_propagator(p, phi).tobytes() == a.tobytes()
+        stack = _inverse_propagator(rings, phis)
+        singles = [_inverse_propagator(p, phi) for p, phi in zip(rings, phis.tolist())]
+        assert stack.tobytes() == np.array(singles).tobytes()
+
+    def test_stacked_amplitudes_equal_each_rings_own(self, rng):
+        rings, phis = _rings_and_phases(rng, 300)
+        fermi = fermi_amplitudes(rings, phis)
+        second = second_order_amplitude(rings, phis)
+        assert fermi.shape == second.shape == (300,)
+        for k, (p, phi) in enumerate(zip(rings, phis.tolist())):
+            assert fermi[k].tobytes() == np.complex128(exact_amplitude(p, phi)).tobytes()
+            assert second[k].tobytes() == np.complex128(second_order_amplitude(p, phi)).tobytes()
 
 
 class TestTruncation:
@@ -223,7 +266,7 @@ class TestExactAmplitude:
 
     def test_model_block_is_never_written(self, rng):
         # One model solved at two energy stacks in turn equals fresh models,
-        # and each g^-1 - H it hands out is a fresh array.
+        # and each g^-1 - H the builder hands out is a fresh array.
         for _ in range(20):
             p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
             first, second = rng.uniform(-0.5, 0.5, 64), rng.uniform(-0.5, 0.5, 7)
@@ -231,9 +274,9 @@ class TestExactAmplitude:
             assert np.array_equal(model.amplitude(first), ResolventModel(p, phi).amplitude(first))
             assert np.array_equal(model.amplitude(second), ResolventModel(p, phi).amplitude(second))
             assert model.amplitude(0.0) == ResolventModel(p, phi).amplitude(0.0)
-        a = model._inverse_propagator()
+        a = _inverse_propagator(p, phi)
         a[2, 2] = 0.0
-        assert model._inverse_propagator()[2, 2] == -p.eps_d
+        assert _inverse_propagator(p, phi)[2, 2] == -p.eps_d
 
     def test_model_compares_by_ring_and_phase(self, ref_ring):
         assert ResolventModel(ref_ring, 0.8) == ResolventModel(ref_ring, 0.8)
@@ -251,7 +294,7 @@ class TestSchurComplement:
         # reach E = eps_d, so the reference sets the entry itself.
         out = []
         for e in energies:
-            a = model._inverse_propagator()
+            a = _inverse_propagator(model.params, model.phi)
             a[2, 2] = e - model.params.eps_d
             out.append(model.norm_const * np.linalg.solve(a, self.SOURCE)[1, 0])
         return np.array(out)
@@ -296,7 +339,7 @@ class TestSchurComplement:
         drawn = [(p, rng.uniform(-np.pi, np.pi)) for p in rings]
         for p, phi in decoupled + drawn:
             model = ResolventModel(p, phi)
-            a = model._inverse_propagator()
+            a = _inverse_propagator(p, phi)
             direct = complex(model.norm_const * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
             for got in (model.amplitude(0.0), model.amplitude(np.array([0.3, 0.0]))[1]):
                 assert np.complex128(got).tobytes() == np.complex128(direct).tobytes()

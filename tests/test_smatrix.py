@@ -1,5 +1,7 @@
 """Two-particle S-matrix constructions and the rigidity identity."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,6 +217,22 @@ class TestBatchedParity:
             s = family(seed)
             assert np.array_equal(s.at(GRID), np.array([s.at(p) for p in GRID]))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("seed", [12348, list(range(2**31 - 8, 2**31 + 8))], ids=["int", "16-seeds"])
+    def test_generator_equals_one_product_per_phase(self, dim, seed):
+        # The generator's draws, spelled out: per seed the Gaussian of Q0,
+        # that of Q1, then the windings; U(phi) is then one d x d product
+        # per phase, where the generator makes one GEMM per family.
+        def per_phase(s):
+            rng = np.random.default_rng(s)
+            x = rng.standard_normal((2, 2, dim, dim))
+            q0, q1 = smatrix._orthonormalize(x[:, 0] + 1j * x[:, 1])
+            windings = rng.integers(-2, 3, size=dim)
+            return np.array([(q0 * np.exp(1j * windings * phi)) @ q1 for phi in GRID])
+
+        expected = per_phase(seed) if isinstance(seed, int) else np.array([per_phase(s) for s in seed])
+        assert np.array_equal(seeded_generator(seed, dim)(GRID), expected)
+
     def test_mirrored_grid_evaluates_the_generator_once(self):
         u0 = seeded_generator(4)
         calls = []
@@ -299,6 +317,18 @@ class TestNanIsRejected:
         with pytest.raises(ValidityError, match=r"not unitary at phi=0\.3 \(defect nan\)"):
             s.at(0.3)
 
+    def test_infinite_entry_names_its_phase(self):
+        family = generic_family(3)
+
+        def one_infinite_entry(phi):
+            m = family.s_of_phi(phi)
+            m[7, 1, 2] = np.inf
+            return m
+
+        phi = re.escape(repr(float(GRID[7])))
+        with pytest.raises(ValidityError, match=rf"not unitary at phi={phi} \(defect (inf|nan)\)$"):
+            TwoParticleSMatrix(one_infinite_entry).at(GRID)
+
     def test_defect_check_names_the_nan_phase(self):
         defect, phis = np.array([0.0, np.nan, 0.0]), np.array([0.5, -1.0, 2.0])
         with pytest.raises(ValidityError, match=r"^broken at phi=-1\.0 \(defect nan\)$"):
@@ -322,6 +352,25 @@ class TestUnitarityBoundary:
         )
         s.at(GRID)
         assert checked == [(GRID.size, 4, 4)]
+
+    @pytest.mark.parametrize("defect, rejected", [(2e-12, True), (5e-13, False)])
+    def test_defect_threshold(self, defect, rejected):
+        # A generic S scaled at phi = GRID[5] by sqrt(1 + defect), so that
+        # S^dagger S = (1 + defect) 1 there, to rounding.
+        family = generic_family(5)
+
+        def scaled(phi):
+            m = family.s_of_phi(phi)
+            return m * np.where(phi == GRID[5], np.sqrt(1.0 + defect), 1.0)[..., None, None]
+
+        s = TwoParticleSMatrix(scaled)
+        if rejected:
+            phi = re.escape(repr(float(GRID[5])))
+            defect_text = r"\(defect (1\.99\d|2\.00\d)e-12\)"  # 2e-12, to rounding
+            with pytest.raises(ValidityError, match=rf"not unitary at phi={phi} {defect_text}$"):
+                s.at(GRID)
+        else:
+            assert np.array_equal(s.at(GRID)[5], family.at(GRID)[5] * np.sqrt(1.0 + defect))
 
     def test_non_unitary_generator_with_unitary_s_is_accepted(self):
         # U(phi) = exp(0.3 sin phi) U0(phi) is not unitary, but the factor
@@ -373,6 +422,28 @@ class TestSeedStacks:
         assert u(0.3).shape == (3, 4, 4)
         assert np.array_equal(u(0.3)[2], seeded_generator(STACK_SEEDS[2])(0.3))
         assert generic_family(STACK_SEEDS[:3]).at(0.3).shape == (3, 4, 4)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: generic_family([]), lambda: random_symmetric_unitary([]),
+                  lambda: seeded_generator([]), lambda: factorized_family([], [])],
+        ids=["generic", "detector", "generator", "factorized"],
+    )
+    def test_empty_seed_sequence_is_rejected(self, build):
+        with pytest.raises(ValueError, match="^a sequence of seeds must not be empty$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "rings, detectors, counts",
+        [
+            ([1, 2], [3], "2 ring seeds and 1 detector seeds"),
+            ([1, 2, 3], [4, 5], "3 ring seeds and 2 detector seeds"),
+            (1, [4, 5], "an int ring seed and 2 detector seeds"),
+            ([1, 2], 3, "2 ring seeds and an int detector seed"),
+        ],
+    )
+    def test_factorized_seeds_must_pair_up(self, rings, detectors, counts):
+        with pytest.raises(ValueError, match=f"must pair up element by element, got {counts}$"):
+            factorized_family(rings, detectors)
 
     def test_report_gains_a_family_axis(self):
         seeds = STACK_SEEDS[:5]

@@ -15,6 +15,7 @@ from abring.ring import (
     amplitude_t1,
     diagram_components,
 )
+from abring.oracle import second_order_amplitude
 from abring.verify import (
     calibration_suite,
     diagram_sum_suite,
@@ -125,8 +126,12 @@ def _nan_identity_residual(family):
 @pytest.mark.parametrize(
     "route, fake, run",
     [
-        ("exact_amplitude", lambda params, phi: NAN, lambda: calibration_suite(3)),
-        ("second_order_amplitude", lambda params, phi: NAN, lambda: second_order_suite(4)),
+        ("fermi_amplitudes", lambda rings, phis: np.full(len(rings), NAN), lambda: calibration_suite(3)),
+        (
+            "second_order_amplitude",
+            lambda rings, phis: np.full(len(rings), NAN),
+            lambda: second_order_suite(4),
+        ),
         (
             "diagram_components",
             lambda params, phi: DiagramComponents(NAN, NAN, NAN, NAN),
@@ -141,6 +146,64 @@ def test_nan_route_fails_its_suite(monkeypatch, route, fake, run):
     result = run()
     assert result.passed is False
     assert "nan" in result.detail
+
+
+def _reported_gaps(monkeypatch, run):
+    """The per-draw gaps that ``run()`` passes to ``verify._report``."""
+    captured = []
+    report = verify._report
+
+    def capture(name, label, gaps, tol):
+        captured.append(np.fromiter(gaps, float))
+        return report(name, label, captured[-1], tol)
+
+    monkeypatch.setattr(verify, "_report", capture)
+    run()
+    (gaps,) = captured
+    return gaps
+
+
+def _scalar_ring_draws(seed, n_draws):
+    """The single-visit suites' draws made one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n_draws):
+        x = rng.uniform(0.05, 3.0)
+        v = rng.uniform(0.1, 1.5)
+        gamma = x * v * v / (1.0 + x * x)
+        ratio = rng.uniform(0.02, 0.24)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        params, phi = RingParams.from_x(x, v, sign * gamma / ratio), rng.uniform(-np.pi, np.pi)
+        draws.append((params, phi, complex(amplitude_t1(params, phi))))
+    return draws
+
+
+@pytest.mark.parametrize("seed", [0, 12346, 2147483001])
+def test_ring_draws_equal_scalar_draws(seed):
+    assert list(zip(*verify._ring_draws(seed, 100))) == _scalar_ring_draws(seed, 100)
+
+
+# The stacked suites against one resolvent per draw, bit for bit.
+@pytest.mark.parametrize("seed", [0, 12345, 2147483000])
+def test_calibration_gaps_equal_per_draw_solves(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(verify.CALIBRATION_DRAWS):
+        params = RingParams.from_x(rng.uniform(0.05, 3.0), 0.0, 1.0)
+        phi = rng.uniform(-np.pi, np.pi)
+        expected.append(abs(verify.exact_amplitude(params, phi) - amplitude_t0(params, phi)))
+    gaps = _reported_gaps(monkeypatch, lambda: calibration_suite(seed))
+    assert gaps.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 12346, 2147483001])
+def test_second_order_gaps_equal_per_draw_solves(monkeypatch, seed):
+    expected = [
+        abs(second_order_amplitude(params, phi) - t1) / abs(t1)
+        for params, phi, t1 in _scalar_ring_draws(seed, verify.SECOND_ORDER_DRAWS)
+    ]
+    gaps = _reported_gaps(monkeypatch, lambda: second_order_suite(seed))
+    assert gaps.tobytes() == np.array(expected).tobytes()
 
 
 # `abring verify --seed s` runs the diagram-sum suite at s + 2.  At each of
