@@ -11,7 +11,8 @@
 # RuntimeWarning say, fails the run before it reaches a user.
 #
 # The default config, two configs that reach the warning lines, a second
-# ring, and sweep-phase at benchmark scale.  No command writes oracle or
+# ring, sweep-phase at benchmark scale, and runs that end in an error exit,
+# whose stdout, stderr and exit code are kept.  No command writes oracle or
 # thermal numbers, so api_reference.py, always the copy beside this
 # script, saves them from SRC.
 set -eu
@@ -41,6 +42,10 @@ printf 'sweep.n_phi = 1366\n' > "$cfgs/tail.cfg"
 # 65,537 phases.
 printf 'ring.x = 2\nring.v_mag = 0.5\nring.eps_d = -1.5\nsweep.n_phi = 65537\nsweep.lambda_list = 0, 0.3, 1\n' \
     > "$cfgs/ring2.cfg"
+# Error exits: a key no command reads, and sweep values out of range.
+printf 'ring.bogus = 1\n' > "$cfgs/unknown.cfg"
+printf 'sweep.n_phi = 3\n' > "$cfgs/coarse.cfg"
+printf 'sweep.lambda_list = 0, 1.5\n' > "$cfgs/overlap.cfg"
 
 mkdir -p "$out"
 for cmd in sweep-phase sweep-lambda rigidity; do
@@ -67,3 +72,18 @@ for cfg in dense ties tail; do
     abring sweep-phase --config "$cfgs/$cfg.cfg" --out "$out/$cfg-sweep-phase" > /dev/null 2> "$out/$cfg-sweep-phase.err"
 done
 PYTHONPATH="$src" python "$here/api_reference.py" "$out/api"
+
+# Error exits: which check wins, its message and its exit code.
+fails() {
+    name=$1
+    shift
+    code=0
+    abring "$@" > "$out/$name.out" 2> "$out/$name.err" || code=$?
+    echo "$code" > "$out/$name.code"
+}
+fails error-verify-seed verify --seed -1
+fails error-rigidity-seed rigidity --seed -1 --out "$out/error-rigidity-seed"
+fails error-warm-seed verify --config "$cfgs/warm.cfg" --seed -1
+fails error-unknown-seed verify --config "$cfgs/unknown.cfg" --seed -1
+fails error-n_phi sweep-phase --config "$cfgs/coarse.cfg" --out "$out/error-n_phi"
+fails error-lambda sweep-lambda --config "$cfgs/overlap.cfg" --out "$out/error-lambda"

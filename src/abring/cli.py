@@ -1,15 +1,17 @@
 """Command-line front end: sweeps, verification, and rigidity reports.
 
-Outputs are deterministic for a fixed config and seed: CSV files carry
-each value as ``'%.17g' % v`` with LF line endings, formatted in bulk and
-byte for byte as per-value ``%`` would (``_text``; zeros, nan, infinities
-and ``|v|`` below ``1e-4`` or from ``1e16`` on take the per-value ``%``),
-and the SVG plots are rendered by the in-package writer.  Exit codes:
-0 success, 2 config error (an unreadable or malformed config file, or an
-output directory that cannot be written), 3 validity violation
-(including a sweep that does not fit in memory), 4 verification failure,
-5 verification unresolved (no suite failed, but at least one could not
-decide at this config).
+Each command takes only the run settings (``--config``, ``--out``,
+``--seed``) that it reads, as ``_commands`` lists.  Outputs are
+deterministic for a fixed config and seed: CSV files carry each value as
+``'%.17g' % v`` with LF line endings, formatted in bulk and byte for byte
+as per-value ``%`` would (``_text``; zeros, nan, infinities and ``|v|``
+below ``1e-4`` or from ``1e16`` on take the per-value ``%``), and the SVG
+plots are rendered by the in-package writer.  Exit codes: 0 success,
+2 config error (an unreadable or malformed config file, or an output
+directory that cannot be written), 3 validity violation (including a
+negative seed or a sweep that does not fit in memory), 4 verification
+failure, 5 verification unresolved (no suite failed, but at least one
+could not decide at this config).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 from numpy.typing import ArrayLike
 
 from . import _text
-from .config import DEFAULT_OUT_DIR, DEFAULT_SEED, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
 from .smatrix import factorized_family, generic_family, rigidity_report
@@ -61,17 +63,17 @@ def _warn_out_of_range(lam: float, bad: int) -> None:
         print(msg, file=sys.stderr)
 
 
-def cmd_sweep_phase(cfg: RunConfig) -> int:
+def cmd_sweep_phase(cfg: RunConfig, out_dir: str) -> int:
     """Transmission over one flux period, one column per detector overlap."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     values = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
     for lam, bad in zip(cfg.lambda_list, out_of_range(values)):
         _warn_out_of_range(lam, bad)
     phis = phase_grid(cfg.n_phi)
-    csv_path = os.path.join(cfg.out_dir, "phase_sweep.csv")
+    csv_path = os.path.join(out_dir, "phase_sweep.csv")
     header = ["phi"] + ["T_lambda=%.17g" % lam for lam in cfg.lambda_list]
     _write_csv(csv_path, header, [phis, *values])
-    svg_path = os.path.join(cfg.out_dir, "phase_sweep.svg")
+    svg_path = os.path.join(out_dir, "phase_sweep.svg")
     write_line_plot(
         svg_path,
         phis,
@@ -86,10 +88,10 @@ def cmd_sweep_phase(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_lambda(cfg: RunConfig) -> int:
+def cmd_sweep_lambda(cfg: RunConfig, out_dir: str) -> int:
     """Closed-loop visibility against the detector overlap, with the
     fixed-two-path reference alongside."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     arm_a = float(abs(amplitude_t0(cfg.ring, 0.0)))
     arm_b = dot_arm_rms(cfg.ring)
     lams, closed, slit = cfg.lambda_list, [], []
@@ -97,13 +99,13 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
         _warn_out_of_range(lam, bad)
         closed.append(vis)
         slit.append(double_slit_visibility(arm_a, arm_b, lam))
-    csv_path = os.path.join(cfg.out_dir, "visibility.csv")
+    csv_path = os.path.join(out_dir, "visibility.csv")
     _write_csv(
         csv_path,
         ["lambda", "visibility_closed_loop", "visibility_double_slit"],
         [lams, closed, slit],
     )
-    svg_path = os.path.join(cfg.out_dir, "visibility.svg")
+    svg_path = os.path.join(out_dir, "visibility.svg")
     write_line_plot(
         svg_path,
         lams,
@@ -118,9 +120,9 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, seed: int) -> int:
     """Run the cross-validation suites; exit 0 only if all pass."""
-    results = run_all(cfg.ring, cfg.seed)
+    results = run_all(cfg.ring, seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL" if result.resolved else "UNRESOLVED"
         print(f"[{status}] {result.name}: {result.detail}")
@@ -133,17 +135,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_UNRESOLVED if n_unresolved else EXIT_OK
 
 
-def cmd_rigidity(cfg: RunConfig) -> int:
+def cmd_rigidity(out_dir: str, seed: int) -> int:
     """Tabulate the rigidity identity for a factorized and a generic family."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     cases = [
-        ("rigidity_factorized.csv", factorized_family(cfg.seed + 1, cfg.seed + 2)),
-        ("rigidity_generic.csv", generic_family(cfg.seed)),
+        ("rigidity_factorized.csv", factorized_family(seed + 1, seed + 2)),
+        ("rigidity_generic.csv", generic_family(seed)),
     ]
     header = ["phi", "T_pos", "T_neg", "s12sq_minus_s21sq", "identity_residual"]
     for filename, family in cases:
         report = rigidity_report(family)
-        path = os.path.join(cfg.out_dir, filename)
+        path = os.path.join(out_dir, filename)
         _write_csv(
             path,
             header,
@@ -162,6 +164,27 @@ def cmd_rigidity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "config": dict(metavar="PATH", help="config file path"),
+    "out": dict(metavar="DIR", default="out", help="output directory (default: %(default)s)"),
+    "seed": dict(metavar="INT", type=int, default=12345, help="seed (default: %(default)s)"),
+}
+
+
+def _commands() -> dict:
+    """Each command's function, the settings it takes, in order, and its help line."""
+    return {  # built per call, so that a command rebound on this module is the one run
+        "sweep-phase": (
+            cmd_sweep_phase, ("config", "out"), "transmission vs flux phase for each overlap"
+        ),
+        "sweep-lambda": (cmd_sweep_lambda, ("config", "out"), "visibility vs detector overlap"),
+        "verify": (cmd_verify, ("config", "seed"), "run the cross-validation suites"),
+        "rigidity": (
+            cmd_rigidity, ("out", "seed"), "rigidity identity tables for seeded S-matrix families"
+        ),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abring",
@@ -171,33 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("sweep-phase", cmd_sweep_phase, "transmission vs flux phase for each overlap"),
-        ("sweep-lambda", cmd_sweep_lambda, "visibility vs detector overlap"),
-        ("verify", cmd_verify, "run the cross-validation suites"),
-        ("rigidity", cmd_rigidity, "rigidity identity tables for seeded S-matrix families"),
-    ]
-    for name, func, help_text in commands:
+    for name, (_, settings, help_text) in _commands().items():
         sp = sub.add_parser(name, help=help_text)
-        if func is not cmd_rigidity:  # rigidity reads no config key
-            sp.add_argument("--config", metavar="PATH", help="config file path")
-        if func is not cmd_verify:  # verify writes no files
-            sp.add_argument("--out", metavar="DIR", help="output directory (default: %(default)s)")
-        if func in (cmd_verify, cmd_rigidity):  # the sweeps draw no seed
-            sp.add_argument("--seed", metavar="INT", type=int, help="seed (default: %(default)s)")
-        sp.set_defaults(func=func, config=None, out=DEFAULT_OUT_DIR, seed=DEFAULT_SEED)
+        for setting in settings:
+            sp.add_argument(f"--{setting}", **_FLAGS[setting])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    func, settings, _ = _commands()[args.command]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OffResonanceWarning)
-            cfg = load_config(args.config, args.out, args.seed)
+            if "config" in settings:
+                args.config = load_config(args.config)
+            if "seed" in settings and args.seed < 0:  # after the config, whose errors win
+                raise ValidityError(f"seed must be nonnegative, got {args.seed}")
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-        return args.func(cfg)
+        return func(*(getattr(args, name) for name in settings))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,12 +1,12 @@
 """Run configuration: flat ``section.key = value`` text files.
 
-A config file holds only the physics and the sweep; the output directory
-and the seed come from the ``--out`` and ``--seed`` flags, with the
-defaults ``DEFAULT_OUT_DIR`` and ``DEFAULT_SEED``.  Parsing is strict:
+A config file holds only the physics and the sweep.  The output directory
+and the seed are not config keys: ``cli`` owns them, as the ``--out`` and
+``--seed`` flags of the commands that read them.  Parsing is strict:
 unknown or duplicate keys are rejected so a typo can never silently fall
-back to a default.  Unset keys take the defaults below, which reproduce
-the reference parameter point (x = 0.4, |V| = 0.75, eps_d = 1.25 in units
-of the direct hop, |W| = 1).
+back to a default.  Unset keys take ``DEFAULTS``, the one home of the
+reference parameter point (x = 0.4, |V| = 0.75, eps_d = 1.25 in units of
+the direct hop, |W| = 1).
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, ValidityError
 from .ring import RingParams
 
-__all__ = [
-    "RunConfig", "parse_config", "load_config", "DEFAULTS", "DEFAULT_OUT_DIR", "DEFAULT_SEED"
-]
+__all__ = ["RunConfig", "parse_config", "load_config", "DEFAULTS"]
 
 DEFAULTS: dict[str, str] = {
     "ring.v_mag": "0.75",
@@ -28,23 +26,14 @@ DEFAULTS: dict[str, str] = {
     "sweep.lambda_list": "0, 0.25, 0.5, 0.75, 1",
 }
 
-DEFAULT_OUT_DIR = "out"
-DEFAULT_SEED = 12345
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters.
-
-    The ring checks itself when it is built; the other fields are checked
-    here.
-    """
+    """The ring and the sweep of a run; the ring checks itself, the sweep is checked here."""
 
     ring: RingParams
     n_phi: int
     lambda_list: tuple[float, ...]
-    out_dir: str
-    seed: int
 
     def __post_init__(self) -> None:
         if self.n_phi < 4:
@@ -52,8 +41,6 @@ class RunConfig:
         for lam in self.lambda_list:
             if not 0.0 <= lam <= 1.0:
                 raise ValidityError(f"sweep.lambda_list entries must lie in [0, 1], got {lam}")
-        if self.seed < 0:
-            raise ValidityError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -77,54 +64,41 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _get_float(pairs: dict[str, str], key: str) -> float:
+def _get(pairs: dict[str, str], key: str, kind: type = float):
+    """The value of ``key`` as a ``kind``: a float, or an int."""
     try:
-        return float(pairs[key])
+        return kind(pairs[key])
     except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {pairs[key]!r}") from exc
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key}: not {what}: {pairs[key]!r}") from exc
 
 
-def _get_int(pairs: dict[str, str], key: str) -> int:
-    try:
-        return int(pairs[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {pairs[key]!r}") from exc
-
-
-def parse_config(text: str, out_dir: str = DEFAULT_OUT_DIR, seed: int = DEFAULT_SEED) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse configuration text into validated run parameters.
 
     Raises ConfigError for syntax and type problems and ValidityError when
     a well-formed value violates a model invariant.
     """
     pairs = {**DEFAULTS, **_parse_pairs(text)}
-    v_mag = _get_float(pairs, "ring.v_mag")
-    eps_d = _get_float(pairs, "ring.eps_d")
-    ring = RingParams.from_x(_get_float(pairs, "ring.x"), v_mag, eps_d)
+    v_mag = _get(pairs, "ring.v_mag")
+    eps_d = _get(pairs, "ring.eps_d")
+    ring = RingParams.from_x(_get(pairs, "ring.x"), v_mag, eps_d)
     try:
         lambda_list = tuple(float(s) for s in pairs["sweep.lambda_list"].split(","))
     except ValueError as exc:
         raise ConfigError(
             f"sweep.lambda_list: not a comma-separated number list: {pairs['sweep.lambda_list']!r}"
         ) from exc
-    return RunConfig(
-        ring=ring,
-        n_phi=_get_int(pairs, "sweep.n_phi"),
-        lambda_list=lambda_list,
-        out_dir=out_dir,
-        seed=seed,
-    )
+    return RunConfig(ring=ring, n_phi=_get(pairs, "sweep.n_phi", int), lambda_list=lambda_list)
 
 
-def load_config(
-    path: str | None, out_dir: str = DEFAULT_OUT_DIR, seed: int = DEFAULT_SEED
-) -> RunConfig:
-    """Load a config file (or pure defaults) with the output directory and seed."""
+def load_config(path: str | None) -> RunConfig:
+    """Load a config file, or the pure defaults when ``path`` is None."""
     if path is None:
-        return parse_config("", out_dir, seed)
+        return parse_config("")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_config(text, out_dir, seed)
+    return parse_config(text)

@@ -196,16 +196,23 @@ def second_order_amplitude(params: Rings, phi):
     energy enters only as ``E - eps_d``, so the value at an energy ``E`` is
     that of the ring with ``eps_d - E`` as its dot level.  A sequence of
     rings with as many phases gives an array from one stacked inverse and
-    product chain, each element bit for bit its ring's own.
+    product chain, each element bit for bit its ring's own.  The first ring
+    whose amplitude leaves the float range is named in a ``ValidityError``.
     """
     a = _inverse_propagator(params, phi)
     a0 = a.copy()
     a0[..., :2, 2] = a0[..., 2, :2] = 0.0  # cut the four dot hops
     hv = a0 - a
     g0 = np.linalg.inv(a0)
-    g2 = g0 @ hv @ g0 @ hv @ g0
-    amplitude = _norm_const(_ring_fields(params)[0]) * g2[..., 1, 0]
-    return complex(amplitude) if isinstance(params, RingParams) else amplitude
+    with np.errstate(all="ignore"):  # every inf and nan is rejected below
+        amplitude = _norm_const(_ring_fields(params)[0]) * (g0 @ hv @ g0 @ hv @ g0)[..., 1, 0]
+    one = isinstance(params, RingParams)
+    bad = np.flatnonzero(~np.isfinite(amplitude))
+    if bad.size:
+        ring, at = (params, phi) if one else (params[bad[0]], phi[bad[0]])
+        msg = f"the order-V^2 amplitude leaves the float range for {ring} at phi = {float(at)!r}"
+        raise ValidityError(msg)
+    return complex(amplitude) if one else amplitude
 
 
 def truncation_residual(params: RingParams, phi: float) -> float:

@@ -55,7 +55,7 @@ def _is_normal(value: float) -> bool:
 class RingParams:
     """Interferometer parameters in units of the direct hop, ``|W| = 1``.
 
-    Fields are keyword-only.
+    Fields are keyword-only, and all but ``validate_off_resonance`` are required.
 
     Parameters
     ----------
@@ -71,9 +71,9 @@ class RingParams:
         transmission values may leave [0, 1].
     """
 
-    v_mag: float = 0.75
-    eps_d: float = 1.25
-    rho: float = 0.4 / np.pi
+    v_mag: float
+    eps_d: float
+    rho: float
     validate_off_resonance: bool = True
 
     def __post_init__(self) -> None:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from abring import RingParams, sweep_phase
 from abring.cli import _write_csv, build_parser, main
+from abring.config import load_config
 from abring.transport import phase_grid
 
 SWEEP_MIN = 342961.0 / 707281.0
@@ -261,6 +262,17 @@ class TestRigidity:
         for name in ("rigidity_factorized.csv", "rigidity_generic.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_reads_no_config(self, tmp_path, monkeypatch):
+        import abring.cli as cli_mod
+
+        def unreadable(path):
+            raise AssertionError("rigidity parsed a config")
+
+        monkeypatch.setattr(cli_mod, "load_config", unreadable)
+        assert main(["rigidity", "--out", str(tmp_path)]) == 0
+        for name in ("rigidity_factorized.csv", "rigidity_generic.csv"):
+            assert (tmp_path / name).exists()
+
 
 class TestFlags:
     """Each command takes only the flags it reads."""
@@ -291,6 +303,43 @@ class TestFlags:
         assert (tmp_path / "rigidity_generic.csv").exists()
         args = build_parser().parse_args(["verify", "--seed", "777"])
         assert args.seed == 777
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("sweep-phase", {"config": None, "out": "out"}),
+            ("sweep-lambda", {"config": None, "out": "out"}),
+            ("verify", {"config": None, "seed": 12345}),
+            ("rigidity", {"out": "out", "seed": 12345}),
+        ],
+    )
+    def test_namespace_holds_only_its_own_flags(self, command, flags):
+        assert vars(build_parser().parse_args([command])) == {"command": command, **flags}
+
+    def test_config_out_and_seed_reach_their_commands(self, tmp_path, monkeypatch):
+        import abring.cli as cli_mod
+
+        calls = []
+        for name in ("cmd_sweep_phase", "cmd_sweep_lambda", "cmd_verify", "cmd_rigidity"):
+            monkeypatch.setattr(
+                cli_mod, name, lambda *args, name=name: calls.append((name, args)) or 0
+            )
+        path = tmp_path / "run.cfg"
+        path.write_text("ring.v_mag = 0.6\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert main(["sweep-phase", "--config", str(path), "--out", "elsewhere"]) == 0
+        assert main(["sweep-lambda", "--config", str(path)]) == 0
+        assert main(["verify", "--config", str(path), "--seed", "99"]) == 0
+        assert main(["verify"]) == 0
+        assert main(["rigidity", "--seed", "99"]) == 0
+        assert calls == [
+            ("cmd_sweep_phase", (cfg, "elsewhere")),
+            ("cmd_sweep_lambda", (cfg, "out")),
+            ("cmd_verify", (cfg, 99)),
+            ("cmd_verify", (load_config(None), 12345)),
+            ("cmd_rigidity", ("out", 99)),
+        ]
+        assert cfg.ring.v_mag == 0.6
 
     def test_flags_and_their_defaults_set_out_dir_and_seed(self, tmp_path, monkeypatch):
         import abring.cli as cli_mod
@@ -338,6 +387,27 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "rigidity"])
+    def test_negative_seed_is_validity_error(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validity error: seed must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_error_wins_over_negative_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("ring.bogus = 1\n", encoding="utf-8")
+        assert main(["verify", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: line 1: unknown key 'ring.bogus'\n"
+
+    def test_negative_seed_prints_no_config_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "warm.cfg"
+        cfg.write_text("ring.v_mag = 1.2\n", encoding="utf-8")
+        assert main(["verify", "--config", str(cfg), "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "validity error: seed must be nonnegative, got -1\n"
 
     def test_off_resonance_warning_is_one_plain_line(self, tmp_path, capsys):
         cfg = tmp_path / "warm.cfg"

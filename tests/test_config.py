@@ -1,7 +1,9 @@
 """Strict flat key-value configuration parsing."""
 
+import inspect
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from abring import ConfigError, OffResonanceWarning, ValidityError, transmission
-from abring.config import load_config, parse_config
+from abring.config import RunConfig, load_config, parse_config
 from abring.transport import dot_arm_rms, phase_grid
 
 PLAIN_NUMBER_TEXT = st.floats(0.0, 1.0).map(repr) | st.integers(4, 2000).map(str)
@@ -47,8 +49,13 @@ def test_empty_text_gives_reference_defaults():
     assert cfg.ring.eps_d == 1.25
     assert cfg.n_phi == 720
     assert cfg.lambda_list == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert cfg.out_dir == "out"
-    assert cfg.seed == 12345
+
+
+def test_run_config_holds_only_the_config_file():
+    # The output directory and the seed are flags of the commands that read them.
+    assert [f.name for f in fields(RunConfig)] == ["ring", "n_phi", "lambda_list"]
+    assert list(inspect.signature(parse_config).parameters) == ["text"]
+    assert list(inspect.signature(load_config).parameters) == ["path"]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -127,20 +134,11 @@ def test_n_phi_floor():
         parse_config("sweep.n_phi = 3\n")
 
 
-def test_negative_seed_rejected():
-    with pytest.raises(ValidityError, match="seed"):
-        load_config(None, seed=-3)
-
-
-def test_load_config_takes_out_dir_and_seed(tmp_path):
+def test_load_config_reads_the_file_or_the_defaults(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("ring.v_mag = 0.6\n", encoding="utf-8")
-    cfg = load_config(str(path), out_dir="elsewhere", seed=99)
-    assert cfg.ring.v_mag == 0.6
-    assert cfg.out_dir == "elsewhere"
-    assert cfg.seed == 99
-    cfg = load_config(str(path))
-    assert (cfg.out_dir, cfg.seed) == ("out", 12345)
+    assert load_config(str(path)) == parse_config("ring.v_mag = 0.6\n")
+    assert load_config(None) == parse_config("")
 
 
 def test_load_config_missing_file():

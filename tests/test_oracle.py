@@ -88,6 +88,46 @@ class TestSecondOrder:
         with pytest.raises(ValidityError, match=r"^eps_d must be finite and nonzero"):
             replace(p, eps_d=p.eps_d - p.eps_d, validate_off_resonance=False)
 
+    # A ring accepted with the guard off whose product chain overflows in
+    # the unread dot-dot entry: its amplitude, about 3e203, is finite and
+    # agrees with a 60-digit evaluation of the same chain to one ulp.
+    WIDE = RingParams(
+        v_mag=2.7484864792745055e74,
+        eps_d=5.051769587375355e-97,
+        rho=3.155829034156498e41,
+        validate_off_resonance=False,
+    )
+    WIDE_PHI = -3.134054819303767
+    WIDE_AMPLITUDE = complex(-4.5474764803053281e201, -3.0162058438250991e203)
+    # Gamma/eps_d = 1.125e308 at x = 1: |t1| = 4.5e308 at phi = -pi/2.
+    HOT = RingParams(v_mag=1.5e4, eps_d=1e-300, rho=1 / np.pi, validate_off_resonance=False)
+    HOT_MESSAGE = (
+        r"^the order-V\^2 amplitude leaves the float range for RingParams\(v_mag=15000\.0, "
+        r"eps_d=1e-300, rho=0\.3183098861837907, validate_off_resonance=False\) "
+        r"at phi = -1\.5707963267948966$"
+    )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_an_unread_entry_is_silent(self, ref_ring):
+        value = second_order_amplitude(self.WIDE, self.WIDE_PHI)
+        assert value == pytest.approx(self.WIDE_AMPLITUDE, rel=1e-15)
+        stack = second_order_amplitude(
+            [ref_ring, self.WIDE, ref_ring], np.array([0.1, self.WIDE_PHI, 0.2])
+        )
+        assert stack[1].tobytes() == np.complex128(value).tobytes()
+        assert stack[0].tobytes() == np.complex128(second_order_amplitude(ref_ring, 0.1)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_names_its_ring_and_phase(self, ref_ring):
+        with pytest.raises(ValidityError, match=self.HOT_MESSAGE):
+            second_order_amplitude(self.HOT, -np.pi / 2)
+        # In a stack, the first ring that overflows is named (phi = -3 overflows too).
+        rings = [ref_ring, self.WIDE, self.HOT, self.HOT]
+        with pytest.raises(ValidityError, match=self.HOT_MESSAGE):
+            second_order_amplitude(rings, np.array([0.1, self.WIDE_PHI, -np.pi / 2, -3.0]))
+        with pytest.raises(ValidityError, match=r"phi = -3\.0$"):
+            second_order_amplitude(self.HOT, -3.0)
+
 
 def _rings_and_phases(rng, n):
     """Drawn rings, dot-decoupled ones among them, and a phase each."""
@@ -129,7 +169,7 @@ class TestStacks:
 
 class TestTruncation:
     def test_zero_without_dot_coupling(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         assert truncation_residual(p, 0.9) < 1e-15
 
     def test_reference_residual(self, ref_ring):
@@ -168,7 +208,7 @@ class TestExactAmplitude:
     def test_singular_energy_rejected(self):
         # S(E) = 0 only without dot coupling at E = eps_d; no RuntimeWarning
         # comes first.
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
             exact_amplitude(p, 0.0, energy=1.25)
 
@@ -176,7 +216,7 @@ class TestExactAmplitude:
     @pytest.mark.parametrize("energy", [[0.5, 1.25, 0.7, 1.25], np.full((2, 3), 1.25)])
     def test_singular_energy_in_a_stack_rejected(self, energy):
         # A stack names its first singular energy alone.
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
             exact_amplitude(p, 0.0, energy=energy)
 
@@ -351,7 +391,7 @@ class TestEnergyResolved:
         assert_allclose(tfun(0.0), abs(exact_amplitude(ref_ring, 0.8, 0.0)) ** 2, rtol=1e-15)
 
     def test_flat_without_dot_coupling(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         tfun = energy_resolved_transmission(p, 0.4)
         values = tfun(np.linspace(-0.5, 0.5, 11))
         assert_allclose(values, values[0], rtol=1e-14)

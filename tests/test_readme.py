@@ -1,4 +1,5 @@
-"""The README's Python examples run in order and give the values their comments state."""
+"""The README's Python examples run in order and give the values their comments state,
+and its config example parses to the defaults it claims."""
 
 import ast
 import io
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from abring.config import parse_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+INI_BLOCK = re.compile(r"^```ini\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def literal_comments(source):
@@ -56,3 +60,8 @@ def test_python_examples_give_the_commented_values():
             checked += 1
         assert not comments, f"literal comments inside a statement: {comments}"
     assert checked == 9  # the README's literal comments, so none is skipped unseen
+
+
+def test_config_example_parses_to_the_defaults():
+    (text,) = INI_BLOCK.findall(README.read_text(encoding="utf-8"))
+    assert parse_config(text) == parse_config("")

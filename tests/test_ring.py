@@ -6,6 +6,7 @@ reference quantity rational or a square root of a rational).
 
 import inspect
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestRingParams:
         assert_allclose(ref_ring.gamma / ref_ring.eps_d, 9.0 / 58.0, rtol=1e-14)
 
     def test_width_vanishes_without_dot_coupling(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         assert p.gamma == 0.0
 
     def test_width_quadratic_in_dot_coupling(self, ref_ring):
@@ -50,11 +51,11 @@ class TestRingParams:
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidityError):
-            RingParams(v_mag=-0.1)
+            RingParams(v_mag=-0.1, eps_d=1.25, rho=0.4 / np.pi)
         with pytest.raises(ValidityError):
-            RingParams(rho=0.0)
+            RingParams(v_mag=0.75, eps_d=1.25, rho=0.0)
         with pytest.raises(ValidityError):
-            RingParams(eps_d=0.0)
+            RingParams(v_mag=0.75, eps_d=0.0, rho=0.4 / np.pi)
         with pytest.raises(ValidityError):
             RingParams.from_x(-0.4, 0.75, 1.25)
 
@@ -62,6 +63,13 @@ class TestRingParams:
         # Positional fields would silently shift meaning if one were removed.
         with pytest.raises(TypeError):
             RingParams(1.0, 0.75, 1.25)
+
+    def test_physical_fields_are_required(self):
+        # The reference point lives in config.DEFAULTS, not in field defaults.
+        with pytest.raises(TypeError, match="rho"):
+            RingParams(v_mag=0.75, eps_d=1.25)
+        defaults = {f.name: f.default for f in fields(RingParams) if f.default is not MISSING}
+        assert defaults == {"validate_off_resonance": True}
 
     def test_off_resonance_guard(self):
         # x = 0.4, v = 2: Gamma = 1.379..., ratio > 1
@@ -79,7 +87,7 @@ class TestRingParams:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             line = inspect.currentframe().f_lineno
-            RingParams(v_mag=1.2)
+            RingParams(v_mag=1.2, eps_d=1.25, rho=0.4 / np.pi)
             RingParams.from_x(0.4, 1.2, 1.25)
         assert [(w.category, w.filename, w.lineno) for w in caught] == [
             (OffResonanceWarning, __file__, line + 1),
@@ -130,7 +138,7 @@ class TestAmplitudeT1:
         )
 
     def test_vanishes_without_dot_coupling(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         for phi in (0.0, 1.0, -2.5):
             assert complex(amplitude_t1(p, phi)) == 0.0
 
@@ -183,7 +191,7 @@ class TestDiagramComponents:
         assert worst < 1e-12
 
     def test_all_zero_without_dot_coupling(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         comps = diagram_components(p, 1.3)
         assert comps.c_lr == comps.c_ll == comps.c_rr == comps.c_rl == 0.0
 

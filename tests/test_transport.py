@@ -43,17 +43,25 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "build, field",
     [
-        pytest.param(lambda: RingParams(v_mag=NAN), "v_mag", id="v_mag=nan"),
-        pytest.param(lambda: RingParams(eps_d=INF), "eps_d", id="eps_d=inf"),
-        pytest.param(lambda: RingParams(eps_d=-INF), "eps_d", id="eps_d=-inf"),
-        pytest.param(lambda: RingParams(rho=NAN), "rho", id="rho=nan"),
+        pytest.param(
+            lambda: RingParams(v_mag=NAN, eps_d=1.25, rho=0.4 / np.pi), "v_mag", id="v_mag=nan"
+        ),
+        pytest.param(
+            lambda: RingParams(v_mag=0.75, eps_d=INF, rho=0.4 / np.pi), "eps_d", id="eps_d=inf"
+        ),
+        pytest.param(
+            lambda: RingParams(v_mag=0.75, eps_d=-INF, rho=0.4 / np.pi), "eps_d", id="eps_d=-inf"
+        ),
+        pytest.param(lambda: RingParams(v_mag=0.75, eps_d=1.25, rho=NAN), "rho", id="rho=nan"),
         pytest.param(lambda: RingParams.from_x(INF, 0.75, 1.25), "x", id="from_x-x=inf"),
         pytest.param(lambda: RingParams.from_x(NAN, 0.75, 1.25), "x", id="from_x-x=nan"),
         pytest.param(
-            lambda: RingParams(v_mag=1e200), "parameters leave the float range", id="gamma-overflow"
+            lambda: RingParams(v_mag=1e200, eps_d=1.25, rho=0.4 / np.pi),
+            "parameters leave the float range",
+            id="gamma-overflow",
         ),
         pytest.param(
-            lambda: RingParams(rho=1e-160),
+            lambda: RingParams(v_mag=0.75, eps_d=1.25, rho=1e-160),
             "parameters leave the float range",
             id="x-subnormal",
         ),
@@ -139,7 +147,7 @@ class TestPhaseSweep:
         assert values.argmax() == 540  # phi = 3 pi/2
 
     def test_constant_without_dot(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         values = sweep_phase(p, [0.7], 4)
         assert_allclose(values, values[0, 0], rtol=1e-14)
 
@@ -217,7 +225,7 @@ class TestVisibility:
         )
 
     def test_constant_sweep_has_zero_visibility(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         # |exp(-i phi)| rounds in the last ulp, so "constant" means to 1e-15
         assert visibility(sweep_phase(p, [0.0], 16)[0]) < 1e-15
         assert visibility(np.full(4, 0.4)) == 0.0
@@ -268,7 +276,8 @@ class TestSweepLambda:
     def test_equals_visibility_of_each_transmission(self, rng):
         lambdas = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
         # rho = 0.2 pushes about half of each row above 1.
-        for p in [random_valid_ring(rng) for _ in range(20)] + [RingParams(rho=0.2)]:
+        rings = [random_valid_ring(rng) for _ in range(20)]
+        for p in rings + [RingParams(v_mag=0.75, eps_d=1.25, rho=0.2)]:
             phis = phase_grid(128)
             old_route = []
             for lam in lambdas:
@@ -337,7 +346,7 @@ class TestRigidityAsymmetry:
         assert_allclose(delta, -ASYMMETRY, rtol=1e-12)
 
     def test_no_dot_is_rigid(self):
-        p = RingParams(v_mag=0.0, eps_d=1.25)
+        p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         assert rigidity_asymmetry(p, 0.0, 64) < 1e-15
 
     def test_independent_of_real_overlap(self, ref_ring):
