@@ -11,10 +11,10 @@
 # RuntimeWarning say, fails the run before it reaches a user.
 #
 # The default config, two configs that reach the warning lines, a second
-# ring, sweep-phase at benchmark scale, and runs that end in an error exit,
-# whose stdout, stderr and exit code are kept.  No command writes oracle or
-# thermal numbers, so api_reference.py, always the copy beside this
-# script, saves them from SRC.
+# ring, sweep-phase and sweep-lambda at benchmark scale, and runs that end in
+# an error exit, whose stdout, stderr and exit code are kept.  No command
+# writes oracle or thermal numbers, so api_reference.py, always the copy
+# beside this script, saves them from SRC.
 set -eu
 src=$(cd "$1" && pwd)
 out=$2
@@ -42,6 +42,14 @@ printf 'sweep.n_phi = 1366\n' > "$cfgs/tail.cfg"
 # 65,537 phases.
 printf 'ring.x = 2\nring.v_mag = 0.5\nring.eps_d = -1.5\nsweep.n_phi = 65537\nsweep.lambda_list = 0, 0.3, 1\n' \
     > "$cfgs/ring2.cfg"
+# Benchmark scale (overlap-scan): 65,536 phases x overlaps 0, 0.01, ..., 1,
+# where sweep-lambda samples each row coarsely and evaluates the cells that
+# can decide it; then the rho ring at 65,537 phases, one warning line per
+# overlap.
+scan=$(python -c 'print(", ".join(str(i / 100) for i in range(101)))')
+printf 'sweep.n_phi = 65536\nsweep.lambda_list = %s\n' "$scan" > "$cfgs/scan.cfg"
+printf 'ring.x = 0.6283185307179586\nsweep.n_phi = 65537\nsweep.lambda_list = %s\n' "$scan" \
+    > "$cfgs/rho-scan.cfg"
 # Error exits: a key no command reads, and sweep values out of range.
 printf 'ring.bogus = 1\n' > "$cfgs/unknown.cfg"
 printf 'sweep.n_phi = 3\n' > "$cfgs/coarse.cfg"
@@ -70,6 +78,9 @@ for cfg in rho warm ring2; do
 done
 for cfg in dense ties tail; do
     abring sweep-phase --config "$cfgs/$cfg.cfg" --out "$out/$cfg-sweep-phase" > /dev/null 2> "$out/$cfg-sweep-phase.err"
+done
+for cfg in scan rho-scan; do
+    abring sweep-lambda --config "$cfgs/$cfg.cfg" --out "$out/$cfg-sweep-lambda" > /dev/null 2> "$out/$cfg-sweep-lambda.err"
 done
 PYTHONPATH="$src" python "$here/api_reference.py" "$out/api"
 

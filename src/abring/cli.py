@@ -28,12 +28,10 @@ from . import _text
 from .config import RunConfig, load_config
 from .errors import ConfigError, OffResonanceWarning, ValidityError
 from .ring import amplitude_t0
-from .smatrix import factorized_family, generic_family, rigidity_report
 from .svgplot import write_line_plot
 from .transport import (
     double_slit_visibility, dot_arm_rms, out_of_range, phase_grid, sweep_lambda, sweep_phase
 )
-from .verify import run_all
 
 __all__ = ["main"]
 
@@ -122,6 +120,8 @@ def cmd_sweep_lambda(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_verify(cfg: RunConfig, seed: int) -> int:
     """Run the cross-validation suites; exit 0 only if all pass."""
+    from .verify import run_all
+
     results = run_all(cfg.ring, seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL" if result.resolved else "UNRESOLVED"
@@ -137,6 +137,8 @@ def cmd_verify(cfg: RunConfig, seed: int) -> int:
 
 def cmd_rigidity(out_dir: str, seed: int) -> int:
     """Tabulate the rigidity identity for a factorized and a generic family."""
+    from .smatrix import factorized_family, generic_family, rigidity_report
+
     os.makedirs(out_dir, exist_ok=True)
     cases = [
         ("rigidity_factorized.csv", factorized_family(seed + 1, seed + 2)),

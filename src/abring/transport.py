@@ -12,10 +12,19 @@ fixed arm amplitudes loses all contrast at ``lam = 0``; that reference is
 provided for comparison.
 
 Only the interference term depends on the overlap, so a sweep evaluates
-``t0`` and ``t1`` once on its phase grid and forms one row per overlap.
-A sweep returns only what it computes: ``sweep_phase`` the array of rows
-on ``phase_grid(n_points)``, ``sweep_lambda`` one (visibility,
+``t0`` and ``t1`` at most once per phase of its grid and forms one row per
+overlap.  A sweep returns only what it computes: ``sweep_phase`` the array
+of rows on ``phase_grid(n_points)``, ``sweep_lambda`` one (visibility,
 ``out_of_range`` count) pair per overlap.  The caller keeps its overlaps.
+
+``sweep_lambda`` gives the visibility and the count of the whole grid, bit
+for bit, without evaluating every row at every phase.  Each row is sampled
+on a coarse subgrid, and a curvature bound (``_chord_margin``) limits how
+far the values between two samples leave their chord.  A cell between two
+samples is evaluated point by point only if it can hold the row's maximum
+or minimum, a negative value, or values on both sides of 1; a cell wholly
+above 1 adds its width to the count.  Every value that decides an output
+comes from the same expression on the same phases as the full row.
 
 Thermal smearing integrates an energy-resolved transmission against the
 negative derivative of the Fermi function.
@@ -49,18 +58,36 @@ __all__ = [
 
 OVERLAP_TOL = 1e-10
 WEIGHT_MASS_TOL = 1e-6
+# sweep_lambda samples each row at every (n_points // COARSE_CELLS)-th phase,
+# so a cell spans at most 1/COARSE_CELLS of the flux period and more than half
+# of that, whatever the grid; on grids under 2 * COARSE_CELLS points every
+# point is a sample.
+COARSE_CELLS = 1024
+# Allowance for rounding in each computed transmission value, relative to
+# (|t0| + max |t1|)^2, which bounds every term.  Far above the few ulps lost.
+ROUNDING_ALLOWANCE = 1e-10
+
+
+def _amplitude_terms(params: RingParams, phi) -> tuple:
+    """``|t0|^2 + |t1|^2``, ``conj(t0)`` and ``t1`` at ``phi``."""
+    t0 = amplitude_t0(params, phi)
+    t1 = amplitude_t1(params, phi)
+    return np.abs(t0) ** 2 + np.abs(t1) ** 2, np.conj(t0), t1
+
+
+def _dephased_row(terms: tuple, lam):
+    """T at the phases of ``terms`` for overlap ``lam``."""
+    direct, conj_t0, t1 = terms
+    return direct + 2.0 * np.real(lam * conj_t0 * t1)
 
 
 def _dephased(params: RingParams, phi, lambdas: Iterable[complex]) -> Iterator:
     """Yield T(phi) for each overlap in turn, from one evaluation of t0 and t1."""
-    t0 = amplitude_t0(params, phi)
-    t1 = amplitude_t1(params, phi)
-    direct = np.abs(t0) ** 2 + np.abs(t1) ** 2
-    conj_t0 = np.conj(t0)
+    terms = _amplitude_terms(params, phi)
     for lam in lambdas:
         if not abs(lam) <= 1.0 + OVERLAP_TOL:
             raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
-        yield direct + 2.0 * np.real(lam * conj_t0 * t1)
+        yield _dephased_row(terms, lam)
 
 
 def transmission(params: RingParams, lam, phi):
@@ -120,13 +147,77 @@ def visibility(values: ArrayLike) -> float:
 def sweep_lambda(
     params: RingParams, lambdas: Sequence[float], n_points: int
 ) -> list[tuple[float, int]]:
-    """(visibility, out-of-range count) per real overlap, each row reduced as made."""
+    """(visibility, out-of-range count) per real overlap on ``phase_grid(n_points)``.
+
+    Both are the whole grid's, bit for bit, from the samples and cells each
+    row needs (see the module docstring); the amplitudes are evaluated at
+    most once per phase.
+    """
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
-    rows = _dephased(params, phase_grid(n_points), lambdas)
-    return [(visibility(row), int(out_of_range(row))) for row in rows]
+    phis = phase_grid(n_points)
+    # Cell j holds the step - 1 points between samples j * step and
+    # (j + 1) * step; the points past the last cell are samples too.
+    step = max(1, n_points // COARSE_CELLS)
+    n_cells = (n_points - 1) // step
+    last = n_cells * step
+    cell_phis = phis[:last].reshape(n_cells, step)[:, 1:]
+    sample_terms = _amplitude_terms(params, phis[np.r_[0 : last + 1 : step, last + 1 : n_points]])
+    # Cell interiors' terms, filled the first time a row needs the cell.
+    cell_terms = [np.empty(cell_phis.shape, dtype) for dtype in (float, complex, complex)]
+    filled = np.zeros(n_cells, dtype=bool)
+    spacing = 2.0 * np.pi * step / n_points
+    out = []
+    for lam in lambdas:
+        samples = _dephased_row(sample_terms, lam)
+        hi, lo = samples.max(), samples.min()
+        margin = _chord_margin(params, lam, spacing)
+        if math.isfinite(margin) and math.isfinite(hi) and math.isfinite(lo):
+            need, above = _undecided(samples[: n_cells + 1], hi, lo, margin)
+            cells = np.flatnonzero(need)
+            above_points = (step - 1) * int(np.count_nonzero(above))
+        else:
+            cells, above_points = np.arange(n_cells), 0
+        fresh = cells[~filled[cells]]
+        if fresh.size and step > 1:
+            for buffer, values in zip(cell_terms, _amplitude_terms(params, cell_phis[fresh])):
+                buffer[fresh] = values
+            filled[fresh] = True
+        inner = _dephased_row([terms[cells] for terms in cell_terms], lam)
+        row = np.concatenate((samples, inner), axis=None)
+        out.append((visibility(row), int(out_of_range(row)) + above_points))
+    return out
+
+
+def _chord_margin(params: RingParams, lam: float, spacing: float) -> float:
+    """How far computed T values at overlap ``lam`` may leave the chord
+    between two samples ``spacing`` apart.
+
+    ``|t1|^2`` is a degree-2 and ``Re(conj(t0) t1)`` a degree-1
+    trigonometric polynomial, so Bernstein's inequality gives
+    ``|T''| <= 4 m^2 + 2 lam |t0| m`` with ``m = max |t1|``, and T leaves
+    the chord by at most ``|T''|max spacing^2 / 8``, plus the rounding
+    allowance.  In Python floats an overflow gives inf, silently.
+    """
+    x = params.x
+    t0_mag = 2.0 * x / (1.0 + x * x)
+    m = abs(float(params.gamma) / float(params.eps_d)) * t0_mag * (2.0 + x + 1.0 / x)
+    curvature = m * (4.0 * m + 2.0 * lam * t0_mag)
+    return curvature * spacing * spacing / 8.0 + ROUNDING_ALLOWANCE * (t0_mag + m) * (t0_mag + m)
+
+
+def _undecided(ends: NDArray[np.float64], hi, lo, margin: float) -> tuple:
+    """Masks over the cells between consecutive ``ends``: the cells whose
+    values, within ``margin`` of their chord, may reach the row's maximum
+    ``hi`` or minimum ``lo``, fall below 0, or lie on both sides of 1; and
+    the other cells that lie wholly above 1.  The rest lie in [0, 1].
+    """
+    upper = np.maximum(ends[:-1], ends[1:]) + margin
+    lower = np.minimum(ends[:-1], ends[1:]) - margin
+    need = (upper >= hi) | (lower <= max(lo, 0.0)) | ((lower <= 1.0) & (upper > 1.0))
+    return need, (lower > 1.0) & ~need
 
 
 def double_slit_visibility(a: float, b: float, lam: float) -> float:

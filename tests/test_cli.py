@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: files, determinism, and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import abring
 from abring import RingParams, sweep_phase
 from abring.cli import _write_csv, build_parser, main
 from abring.config import load_config
@@ -216,11 +221,11 @@ class TestVerify:
         assert status in out
 
     def test_suite_failure_gives_verify_exit_code(self, monkeypatch, capsys):
+        from abring import verify
         from abring.verify import SuiteResult
-        import abring.cli as cli_mod
 
         monkeypatch.setattr(
-            cli_mod, "run_all", lambda ring, seed: [SuiteResult("forced", False, "boom")]
+            verify, "run_all", lambda ring, seed: [SuiteResult("forced", False, "boom")]
         )
         assert main(["verify"]) == 4
         assert "[FAIL] forced" in capsys.readouterr().out
@@ -229,13 +234,13 @@ class TestVerify:
     def test_unresolved_suite_gives_its_own_exit_code(
         self, monkeypatch, capsys, with_failure, code
     ):
+        from abring import verify
         from abring.verify import SuiteResult
-        import abring.cli as cli_mod
 
         results = [SuiteResult("undecided", False, "floor", resolved=False)]
         if with_failure:
             results.append(SuiteResult("forced", False, "boom"))
-        monkeypatch.setattr(cli_mod, "run_all", lambda ring, seed: results)
+        monkeypatch.setattr(verify, "run_all", lambda ring, seed: results)
         assert main(["verify"]) == code
         out = capsys.readouterr().out
         assert "[UNRESOLVED] undecided: floor\n" in out
@@ -342,10 +347,10 @@ class TestFlags:
         assert cfg.ring.v_mag == 0.6
 
     def test_flags_and_their_defaults_set_out_dir_and_seed(self, tmp_path, monkeypatch):
-        import abring.cli as cli_mod
+        from abring import verify
 
         seeds = []
-        monkeypatch.setattr(cli_mod, "run_all", lambda ring, seed: seeds.append(seed) or [])
+        monkeypatch.setattr(verify, "run_all", lambda ring, seed: seeds.append(seed) or [])
         assert main(["verify"]) == 0
         assert main(["verify", "--seed", "7"]) == 0
         assert seeds == [12345, 7]
@@ -490,3 +495,45 @@ class TestExitCodes:
             "for an array with shape (5, 60000000) and data type float64\n"
         )
         assert "Traceback" not in err
+
+
+def run_python(source):
+    """stdout of ``source`` run by a fresh interpreter that imports this abring."""
+    env = dict(os.environ)
+    src = str(Path(abring.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+class TestImports:
+    def test_sweeps_load_no_verification_code(self, tmp_path):
+        out = run_python(
+            "import sys\n"
+            "from abring.cli import main\n"
+            "unloaded = ('abring.oracle', 'abring.smatrix', 'abring.verify')\n"
+            "print([m for m in unloaded if m in sys.modules])\n"
+            f"main(['sweep-lambda', '--out', {str(tmp_path)!r}])\n"
+            f"main(['sweep-phase', '--out', {str(tmp_path)!r}])\n"
+            "print([m for m in unloaded if m in sys.modules])\n"
+        )
+        assert out.splitlines()[0] == "[]"
+        assert out.splitlines()[-1] == "[]"
+
+    def test_every_public_name_resolves(self):
+        out = run_python(
+            "import abring, importlib\n"
+            "found = {name: getattr(abring, name) for name in abring.__all__}\n"
+            "star = {}\n"
+            "exec('from abring import *', star)\n"
+            "assert all(star[name] is found[name] for name in abring.__all__)\n"
+            "assert abring.exact_amplitude is importlib.import_module('abring.oracle').exact_amplitude\n"
+            "assert abring.rigidity_report is importlib.import_module('abring.smatrix').rigidity_report\n"
+            "try:\n"
+            "    abring.run_all\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out == "module 'abring' has no attribute 'run_all'\n"

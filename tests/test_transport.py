@@ -299,6 +299,129 @@ class TestSweepLambda:
         assert peak(64) <= 1.25 * peak(4)
 
 
+def waived_ring(rng):
+    """A random ring with the guard waived and Gamma/|eps_d| up to 0.49."""
+    x = rng.uniform(0.05, 3.0)
+    v = rng.uniform(0.1, 1.5)
+    gamma = x * v * v / (1.0 + x * x)
+    eps_d = (1.0 if rng.random() < 0.5 else -1.0) * gamma / rng.uniform(0.02, 0.49)
+    return RingParams(v_mag=v, eps_d=eps_d, rho=x / np.pi, validate_off_resonance=False)
+
+
+def rho_ring():
+    """The reference ring at rho = 0.2, which puts part of every row above 1."""
+    return RingParams(v_mag=0.75, eps_d=1.25, rho=0.2)
+
+
+def per_row_route(p, lambdas, n_points):
+    """Whole rows, each reduced by ``visibility`` and the out-of-range count.
+
+    The rows come from ``sweep_phase``, 16 overlaps at a time; they equal
+    ``transmission`` bit for bit (``test_rows_equal_transmission``).  The
+    result is an error message or a list of (visibility bits, count).
+    """
+    out = []
+    try:
+        for i in range(0, len(lambdas), 16):
+            for t in sweep_phase(p, lambdas[i : i + 16], n_points):
+                bad = int(np.count_nonzero((t < 0.0) | (t > 1.0)))
+                out.append((float(visibility(t)).hex(), bad))
+    except ValidityError as exc:
+        return str(exc)
+    return out
+
+
+def sampled_route(p, lambdas, n_points):
+    """``sweep_lambda`` in the form of ``per_row_route``."""
+    try:
+        return [(float(v).hex(), bad) for v, bad in sweep_lambda(p, lambdas, n_points)]
+    except ValidityError as exc:
+        return str(exc)
+
+
+class TestSweepLambdaIsTheGrids:
+    """sweep_lambda evaluates only where its bounds say a row can decide the
+    result, and still returns the whole grid's extrema and count, bit for bit."""
+
+    LAMBDAS = [i / 100 for i in range(101)]
+
+    @pytest.mark.parametrize("n_points, n_random", [(8192, 50), (65536, 3), (65537, 3)])
+    def test_equals_the_per_row_route(self, ref_ring, rng, n_points, n_random):
+        rings = [ref_ring, rho_ring()] + [waived_ring(rng) for _ in range(n_random)]
+        for p in rings:
+            expected = per_row_route(p, self.LAMBDAS, n_points)
+            assert sampled_route(p, self.LAMBDAS, n_points) == expected
+
+    @pytest.mark.parametrize("cells", [8, 32])
+    def test_equals_the_per_row_route_with_wide_cells(self, rng, monkeypatch, cells):
+        # Wide cells put the extrema and the crossings of 1 deep inside cells,
+        # and leave a long run of samples past the last cell.
+        monkeypatch.setattr(transport, "COARSE_CELLS", cells)
+        for p in [rho_ring()] + [waived_ring(rng) for _ in range(30)]:
+            expected = per_row_route(p, self.LAMBDAS, 4096)
+            assert sampled_route(p, self.LAMBDAS, 4096) == expected
+
+    def test_the_rho_ring_is_partly_out_of_range(self):
+        assert all(0 < bad < 65537 for _, bad in sweep_lambda(rho_ring(), self.LAMBDAS, 65537))
+
+    @pytest.mark.parametrize("n_points", [8192, 65537])
+    def test_overflowing_ring_behaves_the_same(self, n_points):
+        # |t1| is about 1e200, so |t1|^2 and every T are inf.
+        p = RingParams(v_mag=1e100, eps_d=1.0, rho=0.1, validate_off_resonance=False)
+        with np.errstate(over="ignore"):
+            expected = per_row_route(p, self.LAMBDAS, n_points)
+            assert sampled_route(p, self.LAMBDAS, n_points) == expected
+        assert expected[0] == (float("nan").hex(), n_points)
+        for route in (per_row_route, sampled_route):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                route(p, self.LAMBDAS, n_points)
+
+    @pytest.mark.parametrize("step", [64, 512])
+    def test_chord_margin_bounds_every_row(self, rng, step):
+        phis = phase_grid(4096)
+        ends = np.append(phis[::step], 2.0 * np.pi)
+        # At Gamma/|eps_d| = 0.0008 the interference term dominates |T''|.
+        weak = RingParams.from_x(2.0, 0.05, 1.25)
+        for p in [rho_ring(), weak] + [waived_ring(rng) for _ in range(20)]:
+            for lam in (0.0, 0.5, 1.0):
+                t = transmission(p, lam, phis)
+                chord = np.interp(phis, ends, np.append(t[::step], t[0]))
+                margin = transport._chord_margin(p, lam, step * 2.0 * np.pi / 4096)
+                assert np.max(np.abs(t - chord)) <= margin
+
+    @pytest.mark.parametrize(
+        "ends, hi, lo, wide, narrow",
+        [
+            pytest.param([0.69, 0.6], 0.7, 0.3, (True, False), (False, False), id="maximum"),
+            pytest.param([0.31, 0.4], 2.0, 0.3, (True, False), (False, False), id="minimum"),
+            pytest.param([0.01, 0.02], 2.0, -0.5, (True, False), (False, False), id="negative"),
+            pytest.param([0.99, 0.98], 2.0, 0.3, (True, False), (False, False), id="crosses-1"),
+            pytest.param([1.05, 1.03], 2.0, 0.3, (False, True), (False, True), id="above-1"),
+            pytest.param([1.03, 1.01], 2.0, 0.3, (True, False), (False, True), id="near-1"),
+        ],
+    )
+    def test_a_cell_is_undecided_within_the_margin(self, ends, hi, lo, wide, narrow):
+        """(need, above) of one cell with margins 0.02 and 0.005."""
+        for margin, expected in ((0.02, wide), (0.005, narrow)):
+            need, above = transport._undecided(np.array(ends), hi, lo, margin)
+            assert (bool(need[0]), bool(above[0])) == expected
+
+    @pytest.mark.parametrize("ring", [RingParams.from_x(0.4, 0.75, 1.25), rho_ring()])
+    def test_amplitudes_see_each_phase_at_most_once(self, monkeypatch, ring):
+        seen = []
+
+        def counted(params, phi):
+            seen.append(np.ravel(phi).copy())
+            return amplitude_t1(params, phi)
+
+        monkeypatch.setattr(transport, "amplitude_t1", counted)
+        sweep_lambda(ring, self.LAMBDAS, 65536)
+        phis = np.concatenate(seen)
+        assert phis.size <= 65536
+        assert np.unique(phis).size == phis.size
+        assert np.isin(phis, phase_grid(65536)).all()
+
+
 class TestDoubleSlit:
     def test_zero_overlap_kills_contrast(self):
         assert double_slit_visibility(0.7, 0.3, 0.0) == 0.0
