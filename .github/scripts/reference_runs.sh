@@ -11,8 +11,9 @@
 # RuntimeWarning say, fails the run before it reaches a user.
 #
 # The default config, two configs that reach the warning lines, a second
-# ring, sweep-phase and sweep-lambda at benchmark scale, and runs that end in
-# an error exit, whose stdout, stderr and exit code are kept.  No command
+# ring, sweep-phase and sweep-lambda at benchmark scale, the --help text of
+# abring and of each subcommand, and runs that end in an error exit, whose
+# stdout, stderr and exit code are kept.  No command
 # writes oracle or thermal numbers, so api_reference.py, always the copy
 # beside this script, saves them from SRC.
 set -eu
@@ -56,6 +57,11 @@ printf 'sweep.n_phi = 3\n' > "$cfgs/coarse.cfg"
 printf 'sweep.lambda_list = 0, 1.5\n' > "$cfgs/overlap.cfg"
 
 mkdir -p "$out"
+# The CLI surface.  COLUMNS fixes argparse's wrap width on any terminal.
+COLUMNS=80 abring --help > "$out/help.txt"
+for cmd in sweep-phase sweep-lambda verify rigidity; do
+    COLUMNS=80 abring "$cmd" --help > "$out/help-$cmd.txt"
+done
 for cmd in sweep-phase sweep-lambda rigidity; do
     abring "$cmd" --out "$out/$cmd" > /dev/null
 done

@@ -17,12 +17,13 @@ on its own, and the leftover quantifies the truncation error.
 
 ``ResolventModel(params, phi)`` is the whole model.  It assembles
 ``g^{-1} - H`` at the Fermi energy from the ring, so ``H`` is Hermitian by
-construction and the only checks are those ``RingParams`` makes when it is
-built.  One builder makes that matrix for one ring or for a sequence of
-rings, each at its phase; ``fermi_amplitudes`` and ``second_order_amplitude``
-solve a sequence as one stack, and each ring's amplitude keeps the bits of
-its own solve.  The energy enters only the dot entry, as ``E - eps_d``, so it
-reaches the amplitude through one scalar, the dot's Schur complement
+construction; beyond the checks ``RingParams`` makes when it is built, the
+model checks only that its phase is a finite real scalar.  One builder
+makes that matrix for one ring or for a sequence of rings, each at its
+phase; ``fermi_amplitudes`` and ``second_order_amplitude`` solve a sequence
+as one stack, and each ring's amplitude keeps the bits of its own solve.
+The energy enters only the dot entry, as ``E - eps_d``, so it reaches the
+amplitude through one scalar, the dot's Schur complement
 ``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from the lead
 block ``B`` and the dot hops ``c`` and ``r``.  A model makes one LAPACK
 solve, at ``E = 0``, and inverts the 2x2 ``B`` by its adjugate; every
@@ -112,6 +113,9 @@ class ResolventModel:
     _s0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        phi = np.asarray(self.phi)
+        if phi.ndim != 0 or phi.dtype.kind not in "iuf" or not math.isfinite(phi):
+            raise ValidityError(f"phase must be a finite real scalar, got {self.phi!r}")
         # The model's one LAPACK call: inject at L, read out at R, at E = 0.
         a = _inverse_propagator(self.params, self.phi)
         col = np.linalg.solve(a, _INJECT_L)[1]
@@ -124,16 +128,11 @@ class ResolventModel:
         u1 = (b00 * c1 - b10 * c0) / det
         w0 = (r0 * b11 - r1 * b10) / det
         sigma = r0 * u0 + r1 * u1
-        n = self.norm_const
+        n = _norm_const(self.params.rho)
         object.__setattr__(self, "_amp0", complex(n * col))
         object.__setattr__(self, "_k", n * u1 * w0)
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_s0", -self.params.eps_d - sigma)
-
-    @property
-    def norm_const(self) -> complex:
-        """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
-        return _norm_const(self.params.rho)
 
     def _energy_error(self, energy: float) -> ValueError:
         """Why ``energy`` has no finite amplitude (see the module docstring)."""
@@ -155,8 +154,6 @@ class ResolventModel:
         energies, with no solve per energy.
         """
         shape = np.shape(energy)
-        if shape == () and energy == 0:  # the Fermi energy, as solved
-            return self._amp0
         # Flat, so that a single energy takes the same array arithmetic as
         # a stack (numpy's scalar complex multiply rounds differently).
         e = np.asarray(energy, dtype=float).reshape(-1)

@@ -20,7 +20,7 @@ seeded unitary generator family, which enforces both constraints by
 construction while leaving rigidity free to break.  ``generic_family``
 and ``factorized_family`` build the two seeded kinds that the rigidity
 command and the verification suite tabulate with ``rigidity_report`` on
-its one grid, ``symmetric_phi_grid(RIGIDITY_GRID_POINTS)``.
+its one grid, ``symmetric_phi_grid()``.
 
 Family callables are evaluated over a whole phase grid at once: a family
 takes a float array of phases of any shape ``(...)`` (a 0-d array for a
@@ -312,12 +312,11 @@ def factorized_family(ring_seed: Seeds, detector_seed: Seeds) -> TwoParticleSMat
     return factorized_s(reciprocal_ring_family(ring_seed), random_symmetric_unitary(detector_seed))
 
 
-def symmetric_phi_grid(n_points: int) -> NDArray[np.float64]:
-    """Phases ``pi (2k + 1 - n) / n``: reversed, the grid is its exact negation."""
-    if n_points < 2:
-        raise ValidityError(f"need at least 2 grid points, got {n_points}")
-    k = np.arange(n_points)
-    return np.pi * (2 * k + 1 - n_points) / n_points
+def symmetric_phi_grid() -> NDArray[np.float64]:
+    """Phases ``pi (2k + 1 - n) / n``, n = RIGIDITY_GRID_POINTS: reversed, their exact negation."""
+    n = RIGIDITY_GRID_POINTS
+    k = np.arange(n)
+    return np.pi * (2 * k + 1 - n) / n
 
 
 @dataclass(frozen=True)
@@ -346,10 +345,10 @@ class RigidityReport:
 def rigidity_report(s: TwoParticleSMatrix) -> RigidityReport:
     """Tabulate T(phi) - T(-phi) against |S_12|^2 - |S_21|^2 on the rigidity grid.
 
-    The grid is ``symmetric_phi_grid(RIGIDITY_GRID_POINTS)``, so ``T(-phi)``
-    is ``T(phi)`` reversed along the last axis.
+    The grid is ``symmetric_phi_grid()``, so ``T(-phi)`` is ``T(phi)``
+    reversed along the last axis.
     """
-    phis = symmetric_phi_grid(RIGIDITY_GRID_POINTS)
+    phis = symmetric_phi_grid()
     mats = s.at(phis)
     t_all = _abs2(mats[..., 2, 0]) + _abs2(mats[..., 3, 0])  # |S_31|^2 + |S_41|^2
     t_neg = t_all[..., ::-1]

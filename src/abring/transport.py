@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -81,13 +81,16 @@ def _dephased_row(terms: tuple, lam):
     return direct + 2.0 * np.real(lam * conj_t0 * t1)
 
 
-def _dephased(params: RingParams, phi, lambdas: Iterable[complex]) -> Iterator:
-    """Yield T(phi) for each overlap in turn, from one evaluation of t0 and t1."""
-    terms = _amplitude_terms(params, phi)
-    for lam in lambdas:
-        if not abs(lam) <= 1.0 + OVERLAP_TOL:
-            raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
-        yield _dephased_row(terms, lam)
+def _check_overlap(lam) -> None:
+    """Raise ``ValidityError`` if ``|lam|`` exceeds 1 beyond ``OVERLAP_TOL``."""
+    if not abs(lam) <= 1.0 + OVERLAP_TOL:
+        raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
+
+
+def _check_int(value, name: str) -> None:
+    """Raise ``ValidityError`` unless ``value`` is an int or a numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidityError(f"{name} must be an integer, got {value!r}")
 
 
 def transmission(params: RingParams, lam, phi):
@@ -96,11 +99,14 @@ def transmission(params: RingParams, lam, phi):
     Accepts a scalar phase or an array of phases. ``lam`` may be complex;
     its magnitude must not exceed 1 (beyond a small tolerance).
     """
-    return next(_dephased(params, phi, [lam]))
+    terms = _amplitude_terms(params, phi)
+    _check_overlap(lam)
+    return _dephased_row(terms, lam)
 
 
 def phase_grid(n_points: int) -> NDArray[np.float64]:
     """Uniform flux-phase grid over [0, 2 pi), starting at 0."""
+    _check_int(n_points, "phase grid size")
     if n_points < 4:
         raise ValidityError(f"phase grid needs at least 4 points, got {n_points}")
     try:
@@ -125,8 +131,10 @@ def sweep_phase(
     """Transmission on ``phase_grid(n_points)``; row ``i`` is T(phis) at ``lambdas[i]``."""
     phis = phase_grid(n_points)
     values = np.empty((len(lambdas), n_points))
-    for i, row in enumerate(_dephased(params, phis, lambdas)):
-        values[i] = row
+    terms = _amplitude_terms(params, phis)
+    for i, lam in enumerate(lambdas):
+        _check_overlap(lam)
+        values[i] = _dephased_row(terms, lam)
     return values
 
 
@@ -298,8 +306,7 @@ class ThermalConfig:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValidityError(f"temperature must be finite and positive, got {self.temperature}")
         n = self.quadrature_points
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidityError(f"quadrature_points must be an integer, got {n!r}")
+        _check_int(n, "quadrature_points")
         if n < 16:
             raise ValidityError(f"need at least 16 quadrature points, got {n}")
         if not (math.isfinite(self.energy_window) and self.energy_window >= 8.0):

@@ -16,6 +16,7 @@ from abring import (
 from abring.oracle import (
     ResolventModel,
     _inverse_propagator,
+    _norm_const,
     fermi_amplitudes,
     second_order_amplitude,
 )
@@ -36,8 +37,7 @@ class TestCalibration:
         assert worst < 1e-12
 
     def test_normalization_constant(self, ref_ring):
-        model = ResolventModel(ref_ring, 0.3)
-        assert_allclose(model.norm_const, 2j / (np.pi * ref_ring.rho), rtol=1e-15)
+        assert_allclose(_norm_const(ref_ring.rho), 2j / (np.pi * ref_ring.rho), rtol=1e-15)
 
     def test_inverse_propagator_entries(self, ref_ring):
         # g^{-1} - H at E = 0: lead entries 1/g_lead, dot entry -eps_d,
@@ -204,6 +204,19 @@ class TestExactAmplitude:
             worst = max(worst, abs(exact_amplitude(p, phi, energy)) ** 2)
         assert worst <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, np.array([0.1, 0.2]), [0.1], 0.1j, "0.1", True])
+    def test_phase_other_than_a_finite_real_scalar_rejected(self, ref_ring, phi):
+        # One check, in the model, for every route that builds one.
+        for route in (exact_amplitude, truncation_residual, energy_resolved_transmission):
+            with pytest.raises(ValidityError, match=r"^phase must be a finite real scalar, got "):
+                route(ref_ring, phi)
+
+    def test_real_scalar_phases_keep_their_bits(self, ref_ring):
+        a = exact_amplitude(ref_ring, 0.3)
+        for phi in (np.array(0.3), np.float64(0.3)):
+            assert np.complex128(exact_amplitude(ref_ring, phi)).tobytes() == np.complex128(a).tobytes()
+        assert exact_amplitude(ref_ring, 2) == exact_amplitude(ref_ring, 2.0)
+
     @pytest.mark.filterwarnings("error")
     def test_singular_energy_rejected(self):
         # S(E) = 0 only without dot coupling at E = eps_d; no RuntimeWarning
@@ -336,7 +349,7 @@ class TestSchurComplement:
         for e in energies:
             a = _inverse_propagator(model.params, model.phi)
             a[2, 2] = e - model.params.eps_d
-            out.append(model.norm_const * np.linalg.solve(a, self.SOURCE)[1, 0])
+            out.append(_norm_const(model.params.rho) * np.linalg.solve(a, self.SOURCE)[1, 0])
         return np.array(out)
 
     @staticmethod
@@ -367,8 +380,8 @@ class TestSchurComplement:
             assert_allclose(got, complex(amplitude_t0(p, phi)), rtol=1e-13)
 
     def test_fermi_energy_amplitude_is_the_direct_solve(self, rng):
-        # Alone or in a stack.  Signed zeros count: without the dot, some
-        # quarter-turn phases give a real part of -0.0.
+        # Alone, as a 0-d array, as -0.0 or in a stack.  Signed zeros count:
+        # without the dot, some quarter-turn phases give a real part of -0.0.
         decoupled = [
             (RingParams(v_mag=0.0, eps_d=1.25, rho=rho), phi)
             for rho in (0.1, 0.7)
@@ -380,8 +393,14 @@ class TestSchurComplement:
         for p, phi in decoupled + drawn:
             model = ResolventModel(p, phi)
             a = _inverse_propagator(p, phi)
-            direct = complex(model.norm_const * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
-            for got in (model.amplitude(0.0), model.amplitude(np.array([0.3, 0.0]))[1]):
+            direct = complex(2j / (np.pi * p.rho) * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
+            for got in (
+                model.amplitude(0.0),
+                model.amplitude(np.array(0.0)),
+                model.amplitude(-0.0),
+                model.amplitude(np.array([0.3, 0.0]))[1],
+                model.amplitude(np.array([-0.0, 0.3]))[0],
+            ):
                 assert np.complex128(got).tobytes() == np.complex128(direct).tobytes()
 
 

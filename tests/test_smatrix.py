@@ -23,7 +23,7 @@ from abring.smatrix import (
     reciprocal_ring_family,
 )
 
-GRID = symmetric_phi_grid(64)
+GRID = symmetric_phi_grid()
 
 
 def right_lead(m):
@@ -33,15 +33,11 @@ def right_lead(m):
 
 class TestGrid:
     def test_exact_negation_closure(self):
-        for n in (2, 5, 64, 721):
-            grid = symmetric_phi_grid(n)
-            assert grid.size == n
-            assert set(map(float, -grid)) == set(map(float, grid))
-            assert np.array_equal(grid[::-1], -grid)
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValidityError):
-            symmetric_phi_grid(1)
+        grid = symmetric_phi_grid()
+        assert grid.size == smatrix.RIGIDITY_GRID_POINTS
+        assert np.all(np.diff(grid) > 0) and -np.pi < grid[0] and grid[-1] < np.pi
+        assert set(map(float, -grid)) == set(map(float, grid))
+        assert grid[::-1].tobytes() == (-grid).tobytes()
 
 
 class TestSeededGenerator:
@@ -240,7 +236,9 @@ class TestBatchedParity:
         s.at(GRID)
         assert calls == [GRID.shape]
         # Not closed under negation; an odd grid holds 0.0, whose negation is -0.0.
-        for phis in (GRID[1:], symmetric_phi_grid(65)):
+        odd = np.pi * (2 * np.arange(65) - 64) / 65
+        assert odd[32] == 0.0
+        for phis in (GRID[1:], odd):
             calls.clear()
             assert np.array_equal(s.at(phis), np.array([s.at(p) for p in phis]))
             assert calls[:2] == [phis.shape, phis.shape]

@@ -160,6 +160,23 @@ class TestPhaseSweep:
         with pytest.raises(ValidityError):
             sweep_phase(ref_ring, [0.0], 3)
 
+    @pytest.mark.parametrize("n_points", [10.5, 4096.5, 720.0, "8", True, None])
+    def test_non_integer_grid_size_rejected(self, ref_ring, n_points):
+        # 10.5 points would be spaced 2 pi / 10.5, not over one flux period.
+        match = r"^phase grid size must be an integer, got "
+        with pytest.raises(ValidityError, match=match):
+            phase_grid(n_points)
+        with pytest.raises(ValidityError, match=match):
+            sweep_phase(ref_ring, [0.0], n_points)
+        with pytest.raises(ValidityError, match=match):
+            sweep_lambda(ref_ring, [0.5], n_points)
+
+    def test_numpy_integer_grid_size_accepted(self, ref_ring):
+        n = np.int64(720)
+        assert np.array_equal(phase_grid(n), phase_grid(720))
+        assert np.array_equal(sweep_phase(ref_ring, [0.3], n), sweep_phase(ref_ring, [0.3], 720))
+        assert sweep_lambda(ref_ring, [0.5], n) == sweep_lambda(ref_ring, [0.5], 720)
+
     def test_out_of_range_diagnostics(self, ref_ring):
         assert list(out_of_range(sweep_phase(ref_ring, [0.0, 1.0], 720))) == [0, 0]
         forced = [[0.5, 1.2, -0.1, 0.3], [0.5, 0.5, 1.0, 0.0]]
@@ -483,7 +500,7 @@ class TestRigidityAsymmetry:
         # Two-terminal Onsager symmetry: |exact_amplitude|^2 is even in phi at
         # every energy, so the single-visit asymmetry, which survives at
         # lam = 1 where the detector records nothing, is a truncation artifact.
-        phis = symmetric_phi_grid(64)
+        phis = symmetric_phi_grid()
         assert np.array_equal(phis[::-1], -phis)
         energies = np.array([0.0, 0.2])
         worst = 0.0

@@ -290,7 +290,7 @@ def test_rigidity_failure_names_the_planted_family(monkeypatch):
     monkeypatch.setattr(verify, "generic_family", planted)
     result = rigidity_suite(6)
     assert result.passed is False
-    phi0 = repr(float(smatrix.symmetric_phi_grid(64)[0]))
+    phi0 = repr(float(smatrix.symmetric_phi_grid()[0]))
     assert f"; worst identity residual at generic seed {planted_seed}, phi={phi0};" in result.detail
     assert "; worst factorized asymmetry at factorized seeds (" in result.detail
 
@@ -305,7 +305,7 @@ def test_rigidity_failure_names_the_factorized_family(monkeypatch):
     monkeypatch.setattr(smatrix, "_require_unitary", lambda m, what, phi=None: None)
     result = rigidity_suite(6)
     assert result.passed is False
-    phi0 = repr(float(smatrix.symmetric_phi_grid(64)[0]))
+    phi0 = repr(float(smatrix.symmetric_phi_grid()[0]))
     assert result.detail.endswith(
         f"; worst identity residual at factorized seeds (10006, 20006), phi={phi0}"
         f"; worst factorized asymmetry at factorized seeds (10006, 20006), phi={phi0}"
