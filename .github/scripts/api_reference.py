@@ -4,8 +4,9 @@ Usage, with the ``src`` to test on ``PYTHONPATH``::
 
     python .github/scripts/api_reference.py OUT_DIR
 
-Saves four arrays with ``np.save``: ``oracle.npy`` holds the exact and
-second-order amplitudes and the truncation residual at 200 seeded draws;
+Saves four arrays with ``np.save``: ``oracle.npy`` holds the exact amplitude
+at a drawn energy and at the Fermi energy, the second-order amplitude and
+the truncation residual at 200 seeded draws;
 the order-V^2 amplitude at an energy E is that of the ring with dot level
 ``eps_d - E``.
 ``thermal.npy`` holds the thermal transmission at the reference ring over
@@ -29,6 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from abring.oracle import (
+    ResolventModel,
     energy_resolved_transmission,
     exact_amplitude,
     second_order_amplitude,
@@ -54,7 +56,7 @@ def _draw_ring(rng: np.random.Generator) -> RingParams:
 
 
 def oracle_values() -> np.ndarray:
-    """(N_DRAWS, 3) complex: exact amplitude, order-V^2 part, residual."""
+    """(N_DRAWS, 4) complex: exact amplitude at E and at 0, order-V^2 part, residual."""
     rng = np.random.default_rng(SEED)
     rows = []
     for _ in range(N_DRAWS):
@@ -64,7 +66,8 @@ def oracle_values() -> np.ndarray:
         shifted = replace(ring, eps_d=ring.eps_d - energy, validate_off_resonance=False)
         rows.append(
             (
-                exact_amplitude(ring, phi, energy),
+                ResolventModel(ring, phi).amplitude(energy),
+                exact_amplitude(ring, phi),
                 second_order_amplitude(shifted, phi),
                 truncation_residual(ring, phi),
             )
@@ -90,7 +93,7 @@ def energy_resolved_values() -> np.ndarray:
     # 33 energies within 8 widths Gamma of eps_d; the middle one is eps_d.
     offsets = np.linspace(-8.0, 8.0, 33) * ring.gamma
     energies = np.concatenate([ring.eps_d + offsets, [-1e300, 1e300]])
-    return np.array([exact_amplitude(ring, phi, energies) for phi in RESONANCE_PHASES])
+    return np.array([ResolventModel(ring, phi).amplitude(energies) for phi in RESONANCE_PHASES])
 
 
 def main(argv: list[str]) -> int:

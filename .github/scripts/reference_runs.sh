@@ -12,8 +12,9 @@
 #
 # The default config, two configs that reach the warning lines, a second
 # ring, sweep-phase and sweep-lambda at benchmark scale, the --help text of
-# abring and of each subcommand, and runs that end in an error exit, whose
-# stdout, stderr and exit code are kept.  No command
+# abring and of each subcommand, and runs that end in an error exit (a
+# negative seed, a bad config, an output directory that cannot be made),
+# whose stdout, stderr and exit code are kept.  No command
 # writes oracle or thermal numbers, so api_reference.py, always the copy
 # beside this script, saves them from SRC.
 set -eu
@@ -104,3 +105,7 @@ fails error-warm-seed verify --config "$cfgs/warm.cfg" --seed -1
 fails error-unknown-seed verify --config "$cfgs/unknown.cfg" --seed -1
 fails error-n_phi sweep-phase --config "$cfgs/coarse.cfg" --out "$out/error-n_phi"
 fails error-lambda sweep-lambda --config "$cfgs/overlap.cfg" --out "$out/error-lambda"
+# An output directory that cannot be made: the same path, and message, on any tree.
+for cmd in sweep-phase sweep-lambda rigidity; do
+    fails "error-out-$cmd" "$cmd" --out /dev/null/out
+done

@@ -55,6 +55,19 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[ArrayLike]) -
         fh.writelines(_text.rows(columns, "%.17g", seps))
 
 
+def _write_figure(
+    out_dir: str, name: str, header: Sequence[str], x: ArrayLike, series: Sequence[ArrayLike],
+    labels: Sequence[str], title: str, xlabel: str, ylabel: str,
+) -> None:
+    """Write ``name.csv`` (x, then each series) and ``name.svg``; print both paths, CSV first."""
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    _write_csv(csv_path, header, [x, *series])
+    svg_path = os.path.join(out_dir, f"{name}.svg")
+    write_line_plot(svg_path, x, series, labels, title=title, xlabel=xlabel, ylabel=ylabel)
+    print(f"wrote {csv_path}")
+    print(f"wrote {svg_path}")
+
+
 def _warn_out_of_range(lam: float, bad: int) -> None:
     if bad:
         msg = f"warning: {bad} transmission values outside [0, 1] for lambda={lam:g}"
@@ -67,22 +80,12 @@ def cmd_sweep_phase(cfg: RunConfig, out_dir: str) -> int:
     values = sweep_phase(cfg.ring, cfg.lambda_list, cfg.n_phi)
     for lam, bad in zip(cfg.lambda_list, out_of_range(values)):
         _warn_out_of_range(lam, bad)
-    phis = phase_grid(cfg.n_phi)
-    csv_path = os.path.join(out_dir, "phase_sweep.csv")
     header = ["phi"] + ["T_lambda=%.17g" % lam for lam in cfg.lambda_list]
-    _write_csv(csv_path, header, [phis, *values])
-    svg_path = os.path.join(out_dir, "phase_sweep.svg")
-    write_line_plot(
-        svg_path,
-        phis,
-        values,
-        [f"lambda = {lam:g}" for lam in cfg.lambda_list],
-        title="Transmission vs flux phase",
-        xlabel="phi (rad)",
-        ylabel="T",
+    labels = [f"lambda = {lam:g}" for lam in cfg.lambda_list]
+    _write_figure(
+        out_dir, "phase_sweep", header, phase_grid(cfg.n_phi), values, labels,
+        title="Transmission vs flux phase", xlabel="phi (rad)", ylabel="T",
     )
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
     return EXIT_OK
 
 
@@ -97,24 +100,11 @@ def cmd_sweep_lambda(cfg: RunConfig, out_dir: str) -> int:
         _warn_out_of_range(lam, bad)
         closed.append(vis)
         slit.append(double_slit_visibility(arm_a, arm_b, lam))
-    csv_path = os.path.join(out_dir, "visibility.csv")
-    _write_csv(
-        csv_path,
-        ["lambda", "visibility_closed_loop", "visibility_double_slit"],
-        [lams, closed, slit],
+    header = ["lambda", "visibility_closed_loop", "visibility_double_slit"]
+    _write_figure(
+        out_dir, "visibility", header, lams, [closed, slit], ["closed loop", "double slit"],
+        title="Visibility vs detector overlap", xlabel="lambda", ylabel="visibility",
     )
-    svg_path = os.path.join(out_dir, "visibility.svg")
-    write_line_plot(
-        svg_path,
-        lams,
-        [closed, slit],
-        ["closed loop", "double slit"],
-        title="Visibility vs detector overlap",
-        xlabel="lambda",
-        ylabel="visibility",
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
     return EXIT_OK
 
 

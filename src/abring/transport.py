@@ -81,8 +81,17 @@ def _dephased_row(terms: tuple, lam):
     return direct + 2.0 * np.real(lam * conj_t0 * t1)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; ``ValidityError`` unless it is a real number (a str or bool is not)."""
+    if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
+        raise ValidityError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_overlap(lam) -> None:
-    """Raise ``ValidityError`` if ``|lam|`` exceeds 1 beyond ``OVERLAP_TOL``."""
+    """Raise ``ValidityError`` unless ``lam`` is a number with ``|lam| <= 1 + OVERLAP_TOL``."""
+    if np.ndim(lam) != 0 or np.asarray(lam).dtype.kind not in "iufc":
+        raise ValidityError(f"detector overlap must be a real or complex number, got {lam!r}")
     if not abs(lam) <= 1.0 + OVERLAP_TOL:
         raise ValidityError(f"detector overlap magnitude must be at most 1, got {abs(lam)!r}")
 
@@ -161,7 +170,7 @@ def sweep_lambda(
     row needs (see the module docstring); the amplitudes are evaluated at
     most once per phase.
     """
-    lambdas = [float(lam) for lam in lambdas]
+    lambdas = [_real(lam, "overlap sweep value") for lam in lambdas]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
@@ -234,14 +243,13 @@ def double_slit_visibility(a: float, b: float, lam: float) -> float:
     Equals ``2 lam a b / (a^2 + b^2)``: exactly linear in the overlap and
     exactly zero at ``lam = 0``, unlike the closed-loop result.
     """
-    if a < 0 or b < 0:
-        raise ValidityError("arm amplitudes must be nonnegative")
+    a, b, lam = _real(a, "arm amplitude a"), _real(b, "arm amplitude b"), _real(lam, "overlap")
+    norm = a * a + b * b  # Python floats: an overflow gives inf, never a numpy warning
+    if not (a >= 0.0 and b >= 0.0 and 0.0 < norm < math.inf):
+        raise ValidityError(f"arm amplitudes {a!r} and {b!r}: need a, b >= 0, 0 < a^2 + b^2 < inf")
     if not 0.0 <= lam <= 1.0:
         raise ValidityError(f"overlap must lie in [0, 1], got {lam}")
-    if a == 0.0 and b == 0.0:
-        raise ValidityError("double-slit reference needs at least one nonzero arm")
-    slope = 2.0 * a * b / (a * a + b * b)
-    return lam * slope
+    return lam * (2.0 * a * b / norm)
 
 
 def dot_arm_rms(params: RingParams) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidityError
-from .oracle import exact_amplitude, fermi_amplitudes, second_order_amplitude
+from .oracle import exact_amplitude, second_order_amplitude
 from .ring import RingParams, amplitude_t0, amplitude_t1, diagram_components
 from .smatrix import TwoParticleSMatrix, factorized_family, generic_family, rigidity_report
 
@@ -113,7 +113,7 @@ def calibration_suite(seed: int) -> SuiteResult:
     xs, phis = zip(*_uniform_rows(seed, _CALIBRATION_BOUNDS, CALIBRATION_DRAWS))
     rings = [RingParams.from_x(x, 0.0, 1.0) for x in xs]
     t0 = np.array([amplitude_t0(p, phi) for p, phi in zip(rings, phis)])
-    gaps = _abs(fermi_amplitudes(rings, np.array(phis)) - t0)
+    gaps = _abs(exact_amplitude(rings, np.array(phis)) - t0)
     return _report("oracle-calibration", "max |A(V=0) - t0|", gaps, CALIBRATION_TOL)
 
 

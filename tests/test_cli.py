@@ -162,6 +162,17 @@ class TestSweepLambda:
         ]
 
 
+@pytest.mark.parametrize(
+    "command, name", [("sweep-phase", "phase_sweep"), ("sweep-lambda", "visibility")]
+)
+def test_sweep_prints_its_two_paths_csv_first(tmp_path, capsys, command, name):
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == f"wrote {out / name}.csv\nwrote {out / name}.svg\n"
+    assert printed.err == ""
+
+
 class TestVerify:
     def test_passes_and_reports(self, tmp_path, capsys):
         assert main(["verify"]) == 0

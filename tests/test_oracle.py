@@ -17,7 +17,6 @@ from abring.oracle import (
     ResolventModel,
     _inverse_propagator,
     _norm_const,
-    fermi_amplitudes,
     second_order_amplitude,
 )
 from abring.ring import amplitude_t0, amplitude_t1
@@ -159,11 +158,11 @@ class TestStacks:
 
     def test_stacked_amplitudes_equal_each_rings_own(self, rng):
         rings, phis = _rings_and_phases(rng, 300)
-        fermi = fermi_amplitudes(rings, phis)
+        exact = exact_amplitude(rings, phis)
         second = second_order_amplitude(rings, phis)
-        assert fermi.shape == second.shape == (300,)
+        assert exact.shape == second.shape == (300,)
         for k, (p, phi) in enumerate(zip(rings, phis.tolist())):
-            assert fermi[k].tobytes() == np.complex128(exact_amplitude(p, phi)).tobytes()
+            assert exact[k].tobytes() == np.complex128(exact_amplitude(p, phi)).tobytes()
             assert second[k].tobytes() == np.complex128(second_order_amplitude(p, phi)).tobytes()
 
 
@@ -201,15 +200,53 @@ class TestExactAmplitude:
             p = RingParams(v_mag=v, eps_d=eps_d, rho=x / np.pi, validate_off_resonance=False)
             phi = rng.uniform(-np.pi, np.pi)
             energy = rng.uniform(-0.5, 0.5)
-            worst = max(worst, abs(exact_amplitude(p, phi, energy)) ** 2)
+            worst = max(worst, abs(ResolventModel(p, phi).amplitude(energy)) ** 2)
         assert worst <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("phi", [np.nan, np.inf, np.array([0.1, 0.2]), [0.1], 0.1j, "0.1", True])
+    # One check, in the builder of g^-1 - H, for every route.
+    ROUTES = (
+        exact_amplitude,
+        second_order_amplitude,
+        ResolventModel,
+        truncation_residual,
+        energy_resolved_transmission,
+    )
+
+    @pytest.mark.parametrize(
+        "phi", [np.nan, np.inf, np.array([0.1, 0.2]), [0.1], np.array([[0.1]]), 0.1j, "0.1", True]
+    )
     def test_phase_other_than_a_finite_real_scalar_rejected(self, ref_ring, phi):
-        # One check, in the model, for every route that builds one.
-        for route in (exact_amplitude, truncation_residual, energy_resolved_transmission):
+        for route in self.ROUTES:
             with pytest.raises(ValidityError, match=r"^phase must be a finite real scalar, got "):
                 route(ref_ring, phi)
+
+    @pytest.mark.parametrize(
+        "phis, match",
+        [
+            (np.array([0.1, np.nan, np.inf]), r"^phase must be finite, got nan for ring 1$"),
+            ([0.1, 0.2, -np.inf], r"^phase must be finite, got -inf for ring 2$"),
+            (np.array([0.1, 0.2]), r"^3 rings need .*: shape \(2,\) and dtype float64$"),
+            (np.zeros((3, 1)), r"^3 rings need .*: shape \(3, 1\) and dtype float64$"),
+            (np.zeros((1, 3)), r"^3 rings need .*: shape \(1, 3\) and dtype float64$"),
+            (0.1, r"^3 rings need .*: shape \(\) and dtype float64$"),
+            (np.full(3, 0.1j), r"^3 rings need .*: shape \(3,\) and dtype complex128$"),
+            (np.ones(3, dtype=bool), r"^3 rings need .*: shape \(3,\) and dtype bool$"),
+            (["0.1", "0.2", "0.3"], r"^3 rings need .*: shape \(3,\) and dtype <U3$"),
+        ],
+    )
+    def test_stack_needs_one_finite_real_phase_per_ring(self, ref_ring, phis, match):
+        rings = [ref_ring, RingParams.from_x(2.0, 0.5, -1.5), ref_ring]
+        for route in (exact_amplitude, second_order_amplitude):
+            with pytest.raises(ValidityError, match=match):
+                route(rings, phis)
+
+    def test_stack_takes_any_real_1d_phases(self, ref_ring):
+        rings = [ref_ring, RingParams.from_x(2.0, 0.5, -1.5)]
+        expected = exact_amplitude(rings, np.array([0.0, 1.0]))
+        for phis in ([0.0, 1.0], (0, 1), np.array([0, 1], dtype=np.int32)):
+            assert np.array_equal(exact_amplitude(rings, phis), expected)
+        assert exact_amplitude(rings[1:], np.array([1.0]))[0] == exact_amplitude(rings[1], 1.0)
+        assert exact_amplitude([], np.array([])).shape == (0,)
 
     def test_real_scalar_phases_keep_their_bits(self, ref_ring):
         a = exact_amplitude(ref_ring, 0.3)
@@ -223,7 +260,7 @@ class TestExactAmplitude:
         # comes first.
         p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
-            exact_amplitude(p, 0.0, energy=1.25)
+            ResolventModel(p, 0.0).amplitude(1.25)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("energy", [[0.5, 1.25, 0.7, 1.25], np.full((2, 3), 1.25)])
@@ -231,7 +268,7 @@ class TestExactAmplitude:
         # A stack names its first singular energy alone.
         p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)
         with pytest.raises(ValueError, match=r"^resolvent singular at energy 1\.25$"):
-            exact_amplitude(p, 0.0, energy=energy)
+            ResolventModel(p, 0.0).amplitude(energy)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -246,7 +283,7 @@ class TestExactAmplitude:
     )
     def test_non_finite_energy_rejected(self, ref_ring, energy, named):
         with pytest.raises(ValidityError, match=f"^energy must be finite, got {named}$"):
-            exact_amplitude(ref_ring, 0.3, energy)
+            ResolventModel(ref_ring, 0.3).amplitude(energy)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("energy", [1.25, [0.5, 1.25, 1.25]])
@@ -255,13 +292,14 @@ class TestExactAmplitude:
         # overflows at E = eps_d; no RuntimeWarning comes first.
         p = RingParams(v_mag=1e-160, eps_d=1.25, rho=0.4 / np.pi, validate_off_resonance=False)
         with pytest.raises(ValidityError, match=r"^E / S\(E\) overflows at energy 1\.25$"):
-            exact_amplitude(p, 0.3, energy)
+            ResolventModel(p, 0.3).amplitude(energy)
 
     @pytest.mark.filterwarnings("error")
     def test_amplitude_at_a_small_sigma_keeps_its_bits(self):
         # At |V| = 1e-150, E / S(E) is large but finite.
         p = RingParams(v_mag=1e-150, eps_d=1.25, rho=0.4 / np.pi, validate_off_resonance=False)
-        assert exact_amplitude(p, 0.3, 1.25) == complex(-0.8725799057014842, -0.3334429694377634)
+        expected = complex(-0.8725799057014842, -0.3334429694377634)
+        assert ResolventModel(p, 0.3).amplitude(1.25) == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("energy", [1.7e308, [0.1, 1.7e308, 1.7e308]])
@@ -270,7 +308,7 @@ class TestExactAmplitude:
         p = RingParams(v_mag=0.75, eps_d=-1e308, rho=0.4 / np.pi, validate_off_resonance=False)
         match = r"^the detuning E - eps_d overflows at energy 1\.7e\+308$"
         with pytest.raises(ValidityError, match=match):
-            exact_amplitude(p, 0.3, energy)
+            ResolventModel(p, 0.3).amplitude(energy)
         # The order-V^2 amplitude takes the energy as the dot level eps_d - E.
         with pytest.raises(ValidityError, match=r"^eps_d must be finite"):
             replace(p, eps_d=p.eps_d - 1.7e308)
@@ -282,21 +320,21 @@ class TestExactAmplitude:
         )
         match = r"^the detuning E - eps_d overflows at energy 1\.7e\+308$"
         with pytest.raises(ValidityError, match=match):
-            exact_amplitude(p, 0.3, 1.7e308)
+            ResolventModel(p, 0.3).amplitude(1.7e308)
 
     def test_vectorized_energies_match_scalars(self, ref_ring):
         energies = np.linspace(-0.5, 0.5, 9)
         batch = ResolventModel(ref_ring, 0.8).amplitude(energies)
         for e, b in zip(energies, batch):
-            assert_allclose(b, exact_amplitude(ref_ring, 0.8, float(e)), rtol=1e-14)
+            assert_allclose(b, ResolventModel(ref_ring, 0.8).amplitude(float(e)), rtol=1e-14)
 
     @pytest.mark.parametrize("shape", [(256,), (4, 3)])
     def test_energy_stack_is_bit_identical_to_scalar_solves(self, rng, shape):
         for _ in range(20):
             p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
             energies = rng.uniform(-0.5, 0.5, shape)
-            stacked = exact_amplitude(p, phi, energies)
-            scalars = np.array([exact_amplitude(p, phi, float(e)) for e in energies.flat])
+            stacked = ResolventModel(p, phi).amplitude(energies)
+            scalars = [ResolventModel(p, phi).amplitude(float(e)) for e in energies.flat]
             assert stacked.shape == shape
             assert np.array_equal(stacked.ravel(), scalars)
 
@@ -380,8 +418,9 @@ class TestSchurComplement:
             assert_allclose(got, complex(amplitude_t0(p, phi)), rtol=1e-13)
 
     def test_fermi_energy_amplitude_is_the_direct_solve(self, rng):
-        # Alone, as a 0-d array, as -0.0 or in a stack.  Signed zeros count:
-        # without the dot, some quarter-turn phases give a real part of -0.0.
+        # Alone, as a 0-d array, as -0.0 or in a stack, and exact_amplitude
+        # with no model.  Signed zeros count: without the dot, some
+        # quarter-turn phases give a real part of -0.0.
         decoupled = [
             (RingParams(v_mag=0.0, eps_d=1.25, rho=rho), phi)
             for rho in (0.1, 0.7)
@@ -395,6 +434,7 @@ class TestSchurComplement:
             a = _inverse_propagator(p, phi)
             direct = complex(2j / (np.pi * p.rho) * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
             for got in (
+                exact_amplitude(p, phi),
                 model.amplitude(0.0),
                 model.amplitude(np.array(0.0)),
                 model.amplitude(-0.0),
@@ -407,7 +447,7 @@ class TestSchurComplement:
 class TestEnergyResolved:
     def test_consistent_at_fermi_energy(self, ref_ring):
         tfun = energy_resolved_transmission(ref_ring, 0.8)
-        assert_allclose(tfun(0.0), abs(exact_amplitude(ref_ring, 0.8, 0.0)) ** 2, rtol=1e-15)
+        assert_allclose(tfun(0.0), abs(exact_amplitude(ref_ring, 0.8)) ** 2, rtol=1e-15)
 
     def test_flat_without_dot_coupling(self):
         p = RingParams(v_mag=0.0, eps_d=1.25, rho=0.4 / np.pi)

@@ -12,7 +12,6 @@ from abring import (
     ThermalConfig,
     ValidityError,
     energy_resolved_transmission,
-    exact_amplitude,
     sweep_phase,
     symmetric_phi_grid,
     thermal_transmission,
@@ -20,6 +19,7 @@ from abring import (
     visibility,
 )
 from abring import transport
+from abring.oracle import ResolventModel
 from abring.ring import amplitude_t0, amplitude_t1
 from abring.transport import (
     dot_arm_rms,
@@ -121,6 +121,21 @@ class TestTransmission:
         with pytest.raises(ValidityError):
             transmission(ref_ring, NAN, 0.0)
         transmission(ref_ring, 1.0 + 5e-11, 0.0)  # inside the tolerance
+
+    @pytest.mark.parametrize("lam", ["0.5", True, np.True_, None, [0.5], np.array([0.5])])
+    def test_overlap_that_is_not_a_number_rejected(self, ref_ring, lam):
+        match = r"^detector overlap must be a real or complex number, got "
+        with pytest.raises(ValidityError, match=match):
+            transmission(ref_ring, lam, 0.1)
+        with pytest.raises(ValidityError, match=match):
+            sweep_phase(ref_ring, [0.2, lam], 8)
+
+    @pytest.mark.parametrize(
+        "lam", [np.float64(0.5), np.float32(0.5), np.int64(1), np.complex128(0.3j), np.array(0.5)]
+    )
+    def test_numpy_overlaps_accepted(self, ref_ring, lam):
+        row = sweep_phase(ref_ring, [lam], 8)[0]
+        assert np.array_equal(row, transmission(ref_ring, complex(lam), phase_grid(8)))
 
     def test_complex_overlap_supported(self, ref_ring):
         lam = 0.3 * np.exp(1j * 0.8)
@@ -290,6 +305,16 @@ class TestSweepLambda:
         with pytest.raises(ValidityError):
             sweep_lambda(ref_ring, [-0.1], 720)
 
+    @pytest.mark.parametrize("lam", ["0.5", True, np.True_, None, 0.5j, np.complex128(0.5), [0.5]])
+    def test_overlap_that_is_not_a_real_number_rejected(self, ref_ring, lam):
+        match = r"^overlap sweep value must be a real number, got "
+        with pytest.raises(ValidityError, match=match):
+            sweep_lambda(ref_ring, [0.1, lam], 64)
+
+    def test_numpy_real_overlaps_accepted(self, ref_ring):
+        got = sweep_lambda(ref_ring, [np.float64(0.5), np.float32(0.25), np.int64(1)], 64)
+        assert got == sweep_lambda(ref_ring, [0.5, 0.25, 1.0], 64)
+
     def test_equals_visibility_of_each_transmission(self, rng):
         lambdas = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
         # rho = 0.2 pushes about half of each row above 1.
@@ -439,6 +464,9 @@ class TestSweepLambdaIsTheGrids:
         assert np.isin(phis, phase_grid(65536)).all()
 
 
+NEEDS = r": need a, b >= 0, 0 < a\^2 \+ b\^2 < inf"
+
+
 class TestDoubleSlit:
     def test_zero_overlap_kills_contrast(self):
         assert double_slit_visibility(0.7, 0.3, 0.0) == 0.0
@@ -476,6 +504,38 @@ class TestDoubleSlit:
         with pytest.raises(ValidityError):
             double_slit_visibility(0.5, 0.5, 1.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (NAN, 0.5, r"arm amplitudes nan and 0\.5" + NEEDS),
+            (0.5, INF, r"arm amplitudes 0\.5 and inf" + NEEDS),
+            (-INF, 0.5, r"arm amplitudes -inf and 0\.5" + NEEDS),
+            (-0.1, 0.5, r"arm amplitudes -0\.1 and 0\.5" + NEEDS),
+            # a^2 + b^2 overflows, or is 0, though each arm is finite.
+            (1e200, 1e200, r"arm amplitudes 1e\+200 and 1e\+200" + NEEDS),
+            (np.float64(1e200), 0.5, r"arm amplitudes 1e\+200 and 0\.5" + NEEDS),
+            (1e-200, 0.0, r"arm amplitudes 1e-200 and 0\.0" + NEEDS),
+            (0.0, 0.0, r"arm amplitudes 0\.0 and 0\.0" + NEEDS),
+            ("0.5", 0.5, r"arm amplitude a must be a real number, got '0\.5'"),
+            (0.5, None, r"arm amplitude b must be a real number, got None"),
+        ],
+    )
+    def test_rejects_arms_off_the_float_range(self, a, b, message):
+        with pytest.raises(ValidityError, match=f"^{message}$"):
+            double_slit_visibility(a, b, 0.5)
+
+    @pytest.mark.parametrize("lam", ["0.5", True, None, 0.5j, [0.5]])
+    def test_rejects_overlap_that_is_not_a_real_number(self, lam):
+        with pytest.raises(ValidityError, match=r"^overlap must be a real number, got "):
+            double_slit_visibility(0.7, 0.3, lam)
+
+    def test_numpy_inputs_keep_their_bits(self):
+        # 2 lam a b / (a^2 + b^2) on Python floats, whatever number type comes in.
+        got = double_slit_visibility(np.float64(0.69), np.float64(0.31), np.float64(0.4))
+        expected = 0.4 * (2.0 * 0.69 * 0.31 / (0.69 * 0.69 + 0.31 * 0.31))
+        assert got == double_slit_visibility(0.69, 0.31, 0.4) == expected
+
 
 class TestRigidityAsymmetry:
     def test_reference_asymmetry(self, ref_ring):
@@ -497,7 +557,7 @@ class TestRigidityAsymmetry:
         assert_allclose(asyms[2], asyms[0], rtol=0, atol=1e-13)
 
     def test_all_order_coherent_transmission_is_rigid(self, ref_ring, rng):
-        # Two-terminal Onsager symmetry: |exact_amplitude|^2 is even in phi at
+        # Two-terminal Onsager symmetry: the all-order |A(E)|^2 is even in phi at
         # every energy, so the single-visit asymmetry, which survives at
         # lam = 1 where the detector records nothing, is a truncation artifact.
         phis = symmetric_phi_grid()
@@ -506,7 +566,7 @@ class TestRigidityAsymmetry:
         worst = 0.0
         for _ in range(200):
             p = random_valid_ring(rng)
-            t = np.abs([exact_amplitude(p, phi, energies) for phi in phis]) ** 2
+            t = np.abs([ResolventModel(p, phi).amplitude(energies) for phi in phis]) ** 2
             worst = max(worst, float(np.max(np.abs(t - t[::-1]))))
         assert worst < 1e-12
         assert round(rigidity_asymmetry(ref_ring, 1.0, 720), 4) == 0.2657

@@ -126,7 +126,7 @@ def _nan_identity_residual(family):
 @pytest.mark.parametrize(
     "route, fake, run",
     [
-        ("fermi_amplitudes", lambda rings, phis: np.full(len(rings), NAN), lambda: calibration_suite(3)),
+        ("exact_amplitude", lambda rings, phis: np.full(len(rings), NAN), lambda: calibration_suite(3)),
         (
             "second_order_amplitude",
             lambda rings, phis: np.full(len(rings), NAN),
