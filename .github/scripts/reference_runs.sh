@@ -5,7 +5,8 @@
 #
 # Each command runs `python -m abring` with SRC on PYTHONPATH and writes its
 # files under OUT, with the stdout or stderr that does not name an output
-# path.  OUT directories made from two trees must match byte for byte
+# path; rigidity runs inside OUT with a relative --out, so the paths its
+# stdout names are the same on every tree, and that stdout is kept too.  OUT directories made from two trees must match byte for byte
 # (`diff -r`), unless a change moves a number on purpose and says why in
 # CHANGES.md.  With PYTHONWARNINGS=error any Python warning, a numpy
 # RuntimeWarning say, fails the run before it reaches a user.
@@ -63,9 +64,11 @@ COLUMNS=80 abring --help > "$out/help.txt"
 for cmd in sweep-phase sweep-lambda verify rigidity; do
     COLUMNS=80 abring "$cmd" --help > "$out/help-$cmd.txt"
 done
-for cmd in sweep-phase sweep-lambda rigidity; do
+for cmd in sweep-phase sweep-lambda; do
     abring "$cmd" --out "$out/$cmd" > /dev/null
 done
+# rigidity prints each file's max asymmetry and max identity residual.
+(cd "$out" && abring rigidity --out rigidity > rigidity.txt)
 abring verify > "$out/verify.txt"
 # More seeds put more of the stacked suites' worst gaps under the byte diff.
 for seed in 0 1 7; do
@@ -74,7 +77,7 @@ done
 # Near the top of the benchmark's seed range (family seeds pass 2^31).
 abring verify --seed 2147483000 > "$out/verify-seed2147483000.txt"
 for seed in 1 7; do
-    abring rigidity --seed "$seed" --out "$out/rigidity-seed$seed" > /dev/null
+    (cd "$out" && abring rigidity --seed "$seed" --out "rigidity-seed$seed" > "rigidity-seed$seed.txt")
 done
 for cfg in rho warm ring2; do
     # stdout names the output path, which differs between trees.

@@ -17,15 +17,14 @@ on its own, and the leftover quantifies the truncation error.
 
 One builder, which every route calls, assembles ``g^{-1} - H`` at the Fermi
 energy for one ring or a sequence of rings, each at its phase, so ``H`` is
-Hermitian by construction.  Beyond the checks ``RingParams`` makes, it
-checks only the phase: a finite real scalar for one ring, a 1-d array of
-finite real phases, one per ring, for a sequence.  ``exact_amplitude`` and
-``second_order_amplitude`` solve a sequence as one stack, and each ring's
-amplitude keeps the bits of its own solve.
+Hermitian by construction.  It checks each ring (a ``RingParams``) and
+phase (a finite real number, not a bool; a 1-d array of one per ring for a
+sequence).  ``exact_amplitude`` and ``second_order_amplitude`` solve a
+sequence as one stack, each ring's amplitude with the bits of its own solve.
 
-``ResolventModel(params, phi)`` carries one ring to other energies.  The
-energy enters only the dot entry, as ``E - eps_d``, so it reaches the
-amplitude through one scalar, the dot's Schur complement
+``ResolventModel(params, phi)`` carries one ``RingParams`` to other
+energies.  The energy enters only the dot entry, as ``E - eps_d``, so it
+reaches the amplitude through one scalar, the dot's Schur complement
 ``S(E) = (E - eps_d) - Sigma``, with ``Sigma = r B^{-1} c`` from the lead
 block ``B`` and the dot hops ``c`` and ``r``.  A model makes one LAPACK
 solve, at ``E = 0``, and inverts the 2x2 ``B`` by its adjugate; every
@@ -34,9 +33,9 @@ energy after that is arithmetic,
     A(E) = A(0) - N u_R w_L E / (S(E) S(0)),   u = B^{-1} c,  w = r B^{-1},
 
 which is exact, since ``G_RL(E) - G_RL(0) = u_R w_L (1/S(E) - 1/S(0))``.
-An energy, its detuning ``E - eps_d`` and ``E / S(E)`` must be finite
-(``ValidityError``); ``S(E) = 0``, which only a dot whose ``Sigma`` is 0
-reaches, at ``E = eps_d``, is a ``ValueError``.
+An energy (a real number or an array of them), its detuning ``E - eps_d``
+and ``E / S(E)`` must be finite (``ValidityError``); ``S(E) = 0``, which
+only a dot whose ``Sigma`` is 0 reaches, at ``E = eps_d``, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidityError
-from .ring import RingParams, amplitude_t0, amplitude_t1
+from .ring import RingParams, amplitude_t0, amplitude_t1, is_real
 
 __all__ = [
     "ResolventModel",
@@ -69,6 +68,8 @@ def _ring_fields(rings: Rings):
     """``rho``, ``v_mag`` and ``eps_d`` of one ring, or arrays of them over a sequence."""
     if isinstance(rings, RingParams):
         return rings.rho, rings.v_mag, rings.eps_d
+    if bad := [k for k, ring in enumerate(rings) if not isinstance(ring, RingParams)]:
+        raise ValidityError(f"ring {bad[0]} is not a RingParams, got {rings[bad[0]]!r}")
     return np.array([(r.rho, r.v_mag, r.eps_d) for r in rings], dtype=float).reshape(-1, 3).T
 
 
@@ -81,7 +82,7 @@ def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
     """g^{-1} - H at the Fermi energy, as a fresh C-ordered array.
 
     One ring at a finite real scalar phase gives a 3x3 matrix; n rings with a 1-d array of n
-    finite real phases give an (n, 3, 3) stack of the same bits.  Other phases: ``ValidityError``.
+    finite real phases give an (n, 3, 3) stack of the same bits.  Other input: ``ValidityError``.
     """
     phases = np.asarray(phi)
     if isinstance(rings, RingParams):
@@ -90,6 +91,8 @@ def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
     elif phases.shape != (len(rings),) or phases.dtype.kind not in "iuf":
         got = f"shape {phases.shape} and dtype {phases.dtype}"
         raise ValidityError(f"{len(rings)} rings need a 1-d real array of as many phases: {got}")
+    elif not is_real(phi):  # a bool among numbers, which numpy reads as 0 or 1
+        raise ValidityError(f"phases must be real numbers, not a str or a bool, got {phi!r}")
     elif not np.isfinite(phases).all():
         k = int(np.argmin(np.isfinite(phases)))
         raise ValidityError(f"phase must be finite, got {phases[k]} for ring {k}")
@@ -131,6 +134,8 @@ class ResolventModel:
     _s0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, RingParams):
+            raise ValidityError(f"a ResolventModel takes one RingParams, got {self.params!r}")
         a = _inverse_propagator(self.params, self.phi)
         object.__setattr__(self, "_amp0", complex(_fermi_amplitude(self.params.rho, a)))
         # The lead block B has det = -(1/(pi rho))^2 - 1, never 0, so its 2x2
@@ -165,6 +170,8 @@ class ResolventModel:
         ``A(E) = A(0) - N u_R w_L E / (S(E) S0)``: arithmetic on the
         energies, with no solve per energy.
         """
+        if not is_real(energy):
+            raise ValidityError(f"energy must be a real number or an array of them, got {energy!r}")
         shape = np.shape(energy)
         # Flat, so that a single energy takes the same array arithmetic as
         # a stack (numpy's scalar complex multiply rounds differently).

@@ -46,6 +46,15 @@ GUARD_WARN = 0.25
 GUARD_ERROR = 0.5
 
 
+def is_real(value) -> bool:
+    """True for an int or a float, numpy's too, or an array or list of them; not a str or a bool."""
+    if isinstance(value, (float, int)):  # numpy's float64 too
+        return not isinstance(value, bool)
+    if isinstance(value, (list, tuple)):
+        return all(map(is_real, value))
+    return isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "iuf"
+
+
 def _is_normal(value: float) -> bool:
     """True for a finite float of normal magnitude (not zero, subnormal, inf or nan)."""
     return sys.float_info.min <= abs(value) <= sys.float_info.max
@@ -77,6 +86,9 @@ class RingParams:
     validate_off_resonance: bool = True
 
     def __post_init__(self) -> None:
+        if not (is_real(self.v_mag) and is_real(self.rho) and is_real(self.eps_d)):
+            name = next(n for n in ("v_mag", "rho", "eps_d") if not is_real(getattr(self, n)))
+            raise ValidityError(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name, value, in_range, requirement in (
             ("v_mag", self.v_mag, self.v_mag >= 0, "nonnegative"),
             ("rho", self.rho, self.rho > 0, "positive"),
@@ -124,6 +136,8 @@ class RingParams:
         The off-resonance guard always runs here; to waive it, build
         ``RingParams(..., validate_off_resonance=False)`` with ``rho = x / pi``.
         """
+        if not is_real(x):
+            raise ValidityError(f"x must be a real number, got {x!r}")
         if not (math.isfinite(x) and x > 0):
             raise ValidityError(f"x must be finite and positive, got {x}")
         return cls(v_mag=v_mag, eps_d=eps_d, rho=x / np.pi)

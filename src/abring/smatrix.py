@@ -26,9 +26,8 @@ Family callables are evaluated over a whole phase grid at once: a family
 takes a float array of phases of any shape ``(...)`` (a 0-d array for a
 single phase) and returns a ``(..., d, d)`` stack of matrices, or an array
 that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
-``TwoParticleSMatrix.at`` checks that S itself is unitary, once per stack,
-and raises ``ValidityError`` naming the phase of the worst defect;
-``factorized_s`` checks its detector once.
+``TwoParticleSMatrix.at`` is the one unitarity check: once per stack, it
+raises ``ValidityError`` naming the phase of the worst defect of S.
 
 One builder serves one family or a stack of them: the seeded builders take
 an int seed or a sequence of seeds.  A sequence of ``n`` seeds adds one
@@ -116,12 +115,6 @@ def _check_defect(defect: NDArray[np.float64], phi: ArrayLike | None, what: str)
         k = np.argmax(defect)
         at = "" if phi is None else f" at phi={float(phi.flat[k])!r}"
         raise ValidityError(f"{what}{at} (defect {defect.flat[k]:.3e})")
-
-
-def _require_unitary(m: NDArray[np.complex128], what: str, phi: ArrayLike | None = None) -> None:
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
-    _check_defect(_unitarity_defect(m), phi, f"{what} is not unitary")
 
 
 # Bit-for-bit agreement with per-phase evaluation rests on three choices.
@@ -231,7 +224,7 @@ class TwoParticleSMatrix:
         shape = m.shape[: max(m.ndim - 2 - phi.ndim, 0)] + phi.shape + (4, 4)
         if m.shape != shape:
             m = np.broadcast_to(m, shape).copy()
-        _require_unitary(m, "scattering matrix S(phi)", phi)
+        _check_defect(_unitarity_defect(m), phi, "scattering matrix S(phi) is not unitary")
         return m
 
 
@@ -276,15 +269,14 @@ def random_symmetric_unitary(seed: Seeds) -> NDArray[np.complex128]:
 def factorized_s(ring_s: Family, det_s: NDArray[np.complex128]) -> TwoParticleSMatrix:
     """Tensor product of independent ring and detector scatterers.
 
-    The detector matrix is phase independent, so its own reciprocity
-    constraint reduces to symmetry; asymmetric input would break the
-    reciprocity of the product family.  A ``(n, 2, 2)`` stack of detectors
-    pairs with a ring family stack of ``n``.
+    The detector is phase independent, so its reciprocity reduces to
+    symmetry, checked here; ``at`` checks unitarity.  A ``(n, 2, 2)`` stack
+    of detectors pairs with a ring family stack of ``n``.
     """
     det = np.asarray(det_s, dtype=complex)
-    _require_unitary(det, "detector scattering matrix")
-    asymmetry = np.abs(det - _transpose(det))
-    _check_defect(asymmetry, None, "detector matrix is not symmetric")
+    if det.ndim < 2 or det.shape[-1] != det.shape[-2]:
+        raise ValueError(f"detector scattering matrix must be square, got shape {det.shape}")
+    _check_defect(np.abs(det - _transpose(det)), None, "detector matrix is not symmetric")
 
     def s_of_phi(phi: NDArray[np.float64]) -> NDArray[np.complex128]:
         per_phase = det.reshape(det.shape[:-2] + (1,) * phi.ndim + det.shape[-2:])

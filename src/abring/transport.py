@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidityError
-from .ring import RingParams, amplitude_t0, amplitude_t1
+from .ring import RingParams, amplitude_t0, amplitude_t1, is_real
 
 __all__ = [
     "ThermalConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "out_of_range",
     "double_slit_visibility",
     "dot_arm_rms",
-    "rigidity_asymmetry",
 ]
 
 OVERLAP_TOL = 1e-10
@@ -83,7 +82,7 @@ def _dephased_row(terms: tuple, lam):
 
 def _real(value, name: str) -> float:
     """``value`` as a float; ``ValidityError`` unless it is a real number (a str or bool is not)."""
-    if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
+    if not is_real(value) or np.ndim(value) != 0:
         raise ValidityError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -105,12 +104,13 @@ def _check_int(value, name: str) -> None:
 def transmission(params: RingParams, lam, phi):
     """Transmission probability at the Fermi energy for overlap ``lam``.
 
-    Accepts a scalar phase or an array of phases. ``lam`` may be complex;
-    its magnitude must not exceed 1 (beyond a small tolerance).
+    Accepts a real, finite scalar phase or an array of them. ``lam`` may be
+    complex; its magnitude must not exceed 1 (beyond a small tolerance).
     """
-    terms = _amplitude_terms(params, phi)
+    if isinstance(phi, (list, tuple)) or not (is_real(phi) and np.isfinite(phi).all()):
+        raise ValidityError(f"phase must be a finite real number or an array of them, got {phi!r}")
     _check_overlap(lam)
-    return _dephased_row(terms, lam)
+    return _dephased_row(_amplitude_terms(params, phi), lam)
 
 
 def phase_grid(n_points: int) -> NDArray[np.float64]:
@@ -269,20 +269,6 @@ def dot_arm_rms(params: RingParams) -> float:
     return abs(params.gamma / params.eps_d) * t0_mag * math.sqrt(4.0 + x * x + 1.0 / (x * x))
 
 
-def rigidity_asymmetry(params: RingParams, lam, n_points: int) -> float:
-    """Largest violation of T(phi) = T(-phi) over ``phase_grid(n_points)``.
-
-    The single-visit result breaks this two-terminal symmetry through the
-    phase dependence of ``|t1|^2``; for real ``lam`` the interference term
-    is even in ``phi`` and does not contribute.  The asymmetry is therefore
-    the same at ``lam = 1``, where the detector records nothing, as at
-    ``lam = 0``: it is an artifact of the single-visit truncation, not of
-    detection.  The all-order coherent ``|exact_amplitude|^2`` is rigid.
-    """
-    phis = phase_grid(n_points)
-    return float(np.max(np.abs(transmission(params, lam, phis) - transmission(params, lam, -phis))))
-
-
 @dataclass(frozen=True)
 class ThermalConfig:
     """Fermi-window quadrature settings.
@@ -311,13 +297,13 @@ class ThermalConfig:
     _mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
+        if not (math.isfinite(_real(self.temperature, "temperature")) and self.temperature > 0):
             raise ValidityError(f"temperature must be finite and positive, got {self.temperature}")
         n = self.quadrature_points
         _check_int(n, "quadrature_points")
         if n < 16:
             raise ValidityError(f"need at least 16 quadrature points, got {n}")
-        if not (math.isfinite(self.energy_window) and self.energy_window >= 8.0):
+        if not (math.isfinite(span := _real(self.energy_window, "energy_window")) and span >= 8):
             raise ValidityError(
                 f"energy window must be finite and span at least 8 k_B T, got {self.energy_window}"
             )

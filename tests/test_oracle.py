@@ -240,6 +240,27 @@ class TestExactAmplitude:
             with pytest.raises(ValidityError, match=match):
                 route(rings, phis)
 
+    @pytest.mark.parametrize("phis", [[True, 0.5, 0.2], (0.1, np.True_, 0.3), [1, True, 2]])
+    def test_stack_phase_entries_checked_before_numpy_coerces_them(self, ref_ring, phis):
+        # numpy would read each list as an int or float array, True as 1.
+        rings = [ref_ring, RingParams.from_x(2.0, 0.5, -1.5), ref_ring]
+        match = r"^phases must be real numbers, not a str or a bool, got "
+        for route in (exact_amplitude, second_order_amplitude):
+            with pytest.raises(ValidityError, match=match):
+                route(rings, phis)
+
+    @pytest.mark.parametrize("entry", [None, "ring", 0.4])
+    def test_stack_entry_that_is_not_a_ring_rejected(self, ref_ring, entry):
+        for route in (exact_amplitude, second_order_amplitude):
+            with pytest.raises(ValidityError, match=r"^ring 1 is not a RingParams, got "):
+                route([ref_ring, entry], np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("params", [None, "ring", lambda r: [r, r], lambda r: (r,)])
+    def test_model_takes_one_ring(self, ref_ring, params):
+        params = params(ref_ring) if callable(params) else params
+        with pytest.raises(ValidityError, match=r"^a ResolventModel takes one RingParams, got "):
+            ResolventModel(params, np.array([0.1, 0.2]))
+
     def test_stack_takes_any_real_1d_phases(self, ref_ring):
         rings = [ref_ring, RingParams.from_x(2.0, 0.5, -1.5)]
         expected = exact_amplitude(rings, np.array([0.0, 1.0]))
@@ -253,6 +274,14 @@ class TestExactAmplitude:
         for phi in (np.array(0.3), np.float64(0.3)):
             assert np.complex128(exact_amplitude(ref_ring, phi)).tobytes() == np.complex128(a).tobytes()
         assert exact_amplitude(ref_ring, 2) == exact_amplitude(ref_ring, 2.0)
+
+    @pytest.mark.parametrize("energy", [True, "0.1", None, 0.1j, [0.1, True], np.array(["0.1"])])
+    def test_energy_that_is_not_real_rejected(self, ref_ring, energy):
+        match = r"^energy must be a real number or an array of them, got "
+        with pytest.raises(ValidityError, match=match):
+            ResolventModel(ref_ring, 0.1).amplitude(energy)
+        with pytest.raises(ValidityError, match=match):
+            energy_resolved_transmission(ref_ring, 0.1)(energy)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_energy_rejected(self):

@@ -59,6 +59,21 @@ class TestRingParams:
         with pytest.raises(ValidityError):
             RingParams.from_x(-0.4, 0.75, 1.25)
 
+    @pytest.mark.parametrize("value", ["1", True, np.True_, None, 1 + 0j])
+    def test_field_that_is_not_a_number_rejected(self, value):
+        # A str or a bool is not a number; the field is named.
+        fields_ = {"v_mag": 0.75, "eps_d": 1.25, "rho": 0.1}
+        for name in fields_:
+            with pytest.raises(ValidityError, match=rf"^{name} must be a real number, got "):
+                RingParams(**{**fields_, name: value})
+        with pytest.raises(ValidityError, match=r"^x must be a real number, got "):
+            RingParams.from_x(value, 0.75, 1.25)
+
+    @pytest.mark.parametrize("value", [np.float32(0.75), np.int64(1), np.array(0.75)])
+    def test_numpy_fields_accepted(self, value):
+        assert RingParams(v_mag=value, eps_d=1.25, rho=0.1).v_mag is value
+        assert_allclose(RingParams.from_x(value, 0.5, 1.25).x, float(value), rtol=1e-7)
+
     def test_fields_are_keyword_only(self):
         # Positional fields would silently shift meaning if one were removed.
         with pytest.raises(TypeError):

@@ -101,8 +101,16 @@ class TestFactorized:
             assert right_lead(s.at(phi)) == 0.0
 
     def test_rejects_non_unitary_detector(self):
-        with pytest.raises(ValueError):
-            factorized_s(reciprocal_ring_family(0), np.eye(2) * 1.01)
+        # S^dagger S - 1 = 1 (x) (D^dagger D - 1), so S.at refuses it at any phase.
+        s = factorized_s(reciprocal_ring_family(0), np.eye(2) * 1.01)
+        match = r"^scattering matrix S\(phi\) is not unitary at phi=0\.3 \(defect 2\.010e-02\)$"
+        with pytest.raises(ValidityError, match=match):
+            s.at(0.3)
+
+    def test_rejects_non_square_detector(self):
+        match = r"^detector scattering matrix must be square, got shape \(2, 3\)$"
+        with pytest.raises(ValueError, match=match):
+            factorized_s(reciprocal_ring_family(0), np.ones((2, 3)))
 
     def test_rejects_asymmetric_detector(self):
         # A phase-independent scatterer must be symmetric to be reciprocal.
@@ -112,7 +120,9 @@ class TestFactorized:
             factorized_s(reciprocal_ring_family(0), asym)
 
     def test_rejects_nan_detector(self):
-        with pytest.raises(ValidityError, match=r"detector scattering matrix is not unitary"):
+        # Refused when the family is built, by the symmetry check.
+        match = r"^detector matrix is not symmetric \(defect nan\)$"
+        with pytest.raises(ValidityError, match=match):
             factorized_s(reciprocal_ring_family(0), np.full((2, 2), np.nan))
 
     def test_rejects_non_unitary_ring(self):
@@ -342,7 +352,7 @@ class TestUnitarityBoundary:
         ids=["generic", "factorized"],
     )
     def test_one_check_per_stack_on_s(self, build, monkeypatch):
-        s = build()  # the factorized detector is checked here, once
+        s = build()  # a factorized detector is checked for symmetry only
         checked = []
         original = smatrix._unitarity_defect
         monkeypatch.setattr(

@@ -26,7 +26,6 @@ from abring.transport import (
     double_slit_visibility,
     out_of_range,
     phase_grid,
-    rigidity_asymmetry,
     sweep_lambda,
 )
 from test_ring import random_valid_ring
@@ -136,6 +135,26 @@ class TestTransmission:
     def test_numpy_overlaps_accepted(self, ref_ring, lam):
         row = sweep_phase(ref_ring, [lam], 8)[0]
         assert np.array_equal(row, transmission(ref_ring, complex(lam), phase_grid(8)))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [0.1j, "0.1", True, [0.1], np.array([0.1, 0.2j]), np.ones(2, bool), NAN, np.array([0.1, -INF])],
+    )
+    def test_phase_that_is_not_real_and_finite_rejected(self, ref_ring, phi):
+        # 0.1j would enter exp as a growth factor, "0.1" would fail in the amplitudes.
+        match = r"^phase must be a finite real number or an array of them, got "
+        with pytest.raises(ValidityError, match=match):
+            transmission(ref_ring, 0.5, phi)
+
+    def test_real_phases_keep_their_bits(self, ref_ring):
+        phis = phase_grid(16)
+        t0, t1 = amplitude_t0(ref_ring, phis), amplitude_t1(ref_ring, phis)
+        expected = np.abs(t0) ** 2 + np.abs(t1) ** 2 + 2.0 * np.real(0.5 * np.conj(t0) * t1)
+        assert transmission(ref_ring, 0.5, phis).tobytes() == expected.tobytes()
+        for phi in (0.1, np.float32(0.1), np.int64(2), np.array(0.1), phis.astype(np.float32)):
+            t0, t1 = amplitude_t0(ref_ring, phi), amplitude_t1(ref_ring, phi)
+            expected = np.abs(t0) ** 2 + np.abs(t1) ** 2 + 2.0 * np.real(0.5 * np.conj(t0) * t1)
+            assert np.array_equal(transmission(ref_ring, 0.5, phi), expected)
 
     def test_complex_overlap_supported(self, ref_ring):
         lam = 0.3 * np.exp(1j * 0.8)
@@ -537,7 +556,15 @@ class TestDoubleSlit:
         assert got == double_slit_visibility(0.69, 0.31, 0.4) == expected
 
 
+def rigidity_asymmetry(params, lam, n_points):
+    """Largest |T(phi) - T(-phi)| over phase_grid(n_points)."""
+    phis = phase_grid(n_points)
+    return float(np.max(np.abs(transmission(params, lam, phis) - transmission(params, lam, -phis))))
+
+
 class TestRigidityAsymmetry:
+    """The single-visit T breaks T(phi) = T(-phi) through |t1|^2 alone."""
+
     def test_reference_asymmetry(self, ref_ring):
         assert_allclose(rigidity_asymmetry(ref_ring, 0.0, 720), ASYMMETRY, rtol=1e-12)
 
@@ -578,6 +605,13 @@ class TestThermal:
         match = r"^temperature must be finite and positive, got 0\.0$"
         with pytest.raises(ValidityError, match=match):
             ThermalConfig(0.0)
+
+    @pytest.mark.parametrize("value", ["0.1", True, None])
+    def test_setting_that_is_not_a_number_rejected(self, value):
+        with pytest.raises(ValidityError, match=r"^temperature must be a real number, got "):
+            ThermalConfig(value)
+        with pytest.raises(ValidityError, match=r"^energy_window must be a real number, got "):
+            ThermalConfig(0.1, 128, value)
 
     def test_constant_reproduced(self):
         cfg = ThermalConfig(temperature=0.05, quadrature_points=64)

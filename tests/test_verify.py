@@ -255,14 +255,12 @@ def test_rigidity_stacks_hold_at_most_32_families_and_cover_all(monkeypatch):
 
     monkeypatch.setattr(smatrix, "_unitarity_defect", recording)
     assert rigidity_suite(12345).passed
-    s_checks = [n for dim, n in checked if dim == 4]
-    assert max(s_checks) <= 32
-    # The generic families come first; each factorized stack checks its
-    # 2x2 detectors before S.
-    first_detector = next(i for i, (dim, _) in enumerate(checked) if dim == 2)
-    generic = [n for dim, n in checked[:first_detector]]
-    factorized = [n for dim, n in checked[first_detector:] if dim == 4]
-    assert (sum(generic), sum(factorized)) == (1000, 100)
+    # S is the only matrix checked, once per stack, and the generic stacks come first.
+    assert {dim for dim, _ in checked} == {4}
+    families = [n for _, n in checked]
+    assert max(families) <= 32
+    split = next(i for i in range(len(families) + 1) if sum(families[:i]) == 1000)
+    assert (sum(families[:split]), sum(families[split:])) == (1000, 100)
 
 
 SWAP = np.eye(4)[[2, 3, 0, 1]]
@@ -302,7 +300,7 @@ def test_rigidity_failure_names_the_factorized_family(monkeypatch):
         return smatrix.TwoParticleSMatrix(lambda phi: family.s_of_phi(phi) * np.nan)
 
     monkeypatch.setattr(verify, "factorized_family", nan_factorized)
-    monkeypatch.setattr(smatrix, "_require_unitary", lambda m, what, phi=None: None)
+    monkeypatch.setattr(smatrix, "_check_defect", lambda defect, phi, what: None)
     result = rigidity_suite(6)
     assert result.passed is False
     phi0 = repr(float(smatrix.symmetric_phi_grid()[0]))
