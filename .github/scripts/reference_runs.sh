@@ -14,10 +14,10 @@
 # The default config, two configs that reach the warning lines, a second
 # ring, sweep-phase and sweep-lambda at benchmark scale, the --help text of
 # abring and of each subcommand, and runs that end in an error exit (a
-# negative seed, a bad config, an output directory that cannot be made),
-# whose stdout, stderr and exit code are kept.  No command
-# writes oracle or thermal numbers, so api_reference.py, always the copy
-# beside this script, saves them from SRC.
+# negative seed, a bad config, a ring the model refuses, an output directory
+# that cannot be made), whose stdout, stderr and exit code are kept.  No
+# command writes oracle or thermal numbers, so api_reference.py, always the
+# copy beside this script, saves them from SRC.
 set -eu
 src=$(cd "$1" && pwd)
 out=$2
@@ -57,6 +57,14 @@ printf 'ring.x = 0.6283185307179586\nsweep.n_phi = 65537\nsweep.lambda_list = %s
 printf 'ring.bogus = 1\n' > "$cfgs/unknown.cfg"
 printf 'sweep.n_phi = 3\n' > "$cfgs/coarse.cfg"
 printf 'sweep.lambda_list = 0, 1.5\n' > "$cfgs/overlap.cfg"
+# Rings the model refuses, one field each: out of range, not finite, off the
+# float range, and too close to resonance.
+printf 'ring.eps_d = 0\n' > "$cfgs/ring-eps_d-zero.cfg"
+printf 'ring.v_mag = -1\n' > "$cfgs/ring-v_mag-negative.cfg"
+printf 'ring.x = nan\n' > "$cfgs/ring-x-nan.cfg"
+printf 'ring.x = 1e-200\n' > "$cfgs/ring-x-tiny.cfg"
+printf 'ring.v_mag = 4\n' > "$cfgs/ring-v_mag-resonant.cfg"
+printf 'ring.eps_d = 1e-310\n' > "$cfgs/ring-eps_d-subnormal.cfg"
 
 mkdir -p "$out"
 # The CLI surface.  COLUMNS fixes argparse's wrap width on any terminal.
@@ -108,6 +116,9 @@ fails error-warm-seed verify --config "$cfgs/warm.cfg" --seed -1
 fails error-unknown-seed verify --config "$cfgs/unknown.cfg" --seed -1
 fails error-n_phi sweep-phase --config "$cfgs/coarse.cfg" --out "$out/error-n_phi"
 fails error-lambda sweep-lambda --config "$cfgs/overlap.cfg" --out "$out/error-lambda"
+for ring in eps_d-zero v_mag-negative x-nan x-tiny v_mag-resonant eps_d-subnormal; do
+    fails "error-ring-$ring" sweep-phase --config "$cfgs/ring-$ring.cfg" --out "$out/error-ring-$ring"
+done
 # An output directory that cannot be made: the same path, and message, on any tree.
 for cmd in sweep-phase sweep-lambda rigidity; do
     fails "error-out-$cmd" "$cmd" --out /dev/null/out

@@ -16,11 +16,11 @@ the same resolvent must then match the closed-form single-visit amplitude
 on its own, and the leftover quantifies the truncation error.
 
 One builder, which every route calls, assembles ``g^{-1} - H`` at the Fermi
-energy for one ring or a sequence of rings, each at its phase, so ``H`` is
-Hermitian by construction.  It checks each ring (a ``RingParams``) and
-phase (a finite real number, not a bool; a 1-d array of one per ring for a
-sequence).  ``exact_amplitude`` and ``second_order_amplitude`` solve a
-sequence as one stack, each ring's amplitude with the bits of its own solve.
+energy for one ``RingParams`` or a list or tuple of them, so ``H`` is
+Hermitian by construction.  Its phases pass ``ring.real_array`` and have the
+rings' shape, ``()`` for one ring and ``(n,)`` for n.  ``exact_amplitude``
+and ``second_order_amplitude`` solve n rings as one stack, each ring's
+amplitude with the bits of its own solve.
 
 ``ResolventModel(params, phi)`` carries one ``RingParams`` to other
 energies.  The energy enters only the dot entry, as ``E - eps_d``, so it
@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidityError
-from .ring import RingParams, amplitude_t0, amplitude_t1, is_real
+from .ring import RingParams, amplitude_t0, amplitude_t1, is_real, real_array
 
 __all__ = [
     "ResolventModel",
@@ -58,8 +57,8 @@ __all__ = [
     "energy_resolved_transmission",
 ]
 
-# One ring, or a sequence of rings solved as one stack.
-Rings = RingParams | Sequence[RingParams]
+# One ring, or a list or tuple of rings solved as one stack.
+Rings = RingParams | list[RingParams] | tuple[RingParams, ...]
 # Inject at L: the solve's column of G, whose R entry is G_RL.
 _INJECT_L = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -68,6 +67,8 @@ def _ring_fields(rings: Rings):
     """``rho``, ``v_mag`` and ``eps_d`` of one ring, or arrays of them over a sequence."""
     if isinstance(rings, RingParams):
         return rings.rho, rings.v_mag, rings.eps_d
+    if not isinstance(rings, (list, tuple)):
+        raise ValidityError(f"rings must be a RingParams or a list or tuple of them, got {rings!r}")
     if bad := [k for k, ring in enumerate(rings) if not isinstance(ring, RingParams)]:
         raise ValidityError(f"ring {bad[0]} is not a RingParams, got {rings[bad[0]]!r}")
     return np.array([(r.rho, r.v_mag, r.eps_d) for r in rings], dtype=float).reshape(-1, 3).T
@@ -79,26 +80,13 @@ def _norm_const(rho):
 
 
 def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
-    """g^{-1} - H at the Fermi energy, as a fresh C-ordered array.
-
-    One ring at a finite real scalar phase gives a 3x3 matrix; n rings with a 1-d array of n
-    finite real phases give an (n, 3, 3) stack of the same bits.  Other input: ``ValidityError``.
-    """
-    phases = np.asarray(phi)
-    if isinstance(rings, RingParams):
-        if phases.ndim != 0 or phases.dtype.kind not in "iuf" or not math.isfinite(phases):
-            raise ValidityError(f"phase must be a finite real scalar, got {phi!r}")
-    elif phases.shape != (len(rings),) or phases.dtype.kind not in "iuf":
-        got = f"shape {phases.shape} and dtype {phases.dtype}"
-        raise ValidityError(f"{len(rings)} rings need a 1-d real array of as many phases: {got}")
-    elif not is_real(phi):  # a bool among numbers, which numpy reads as 0 or 1
-        raise ValidityError(f"phases must be real numbers, not a str or a bool, got {phi!r}")
-    elif not np.isfinite(phases).all():
-        k = int(np.argmin(np.isfinite(phases)))
-        raise ValidityError(f"phase must be finite, got {phases[k]} for ring {k}")
-    else:
-        phi = phases  # a list of phases, say, as an array
+    """g^{-1} - H at the Fermi energy, as a fresh C-ordered array: a 3x3 matrix for one ring,
+    an (n, 3, 3) stack of the same bits for n rings, each at its phase; else ``ValidityError``."""
     rho, v, eps_d = _ring_fields(rings)
+    phi = real_array(phi, "phase")
+    if phi.shape != (shape := getattr(rho, "shape", ())):  # a float's is ()
+        rings_need = f"{len(rings)} rings need phases" if shape else "a ring needs a phase"
+        raise ValidityError(f"{rings_need} of shape {shape}, got shape {phi.shape}")
     # The direct hop L<-R carries |W| e^{i phi}, with |W| = 1, so that
     # L->R transmission picks up e^{-i phi}.
     w = np.exp(1j * phi)
@@ -115,8 +103,10 @@ def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
 
 def _fermi_amplitude(rho, a: NDArray[np.complex128]):
     """``N G_RL`` of ``a = g^{-1} - H``, one matrix or a stack: inject at L, read out at R."""
+    # numpy < 2 takes b as a vector only if b.ndim == a.ndim - 1, so a stack gets a b of a's ndim.
     # .T[1] is [..., 1], but gives one matrix's entry as a scalar, which multiplies 5x faster.
-    return _norm_const(rho) * np.linalg.solve(a, _INJECT_L).T[1]
+    b = _INJECT_L if a.ndim == 2 else np.broadcast_to(_INJECT_L[:, None], a.shape[:-1] + (1,))
+    return _norm_const(rho) * np.linalg.solve(a, b).reshape(a.shape[:-1]).T[1]
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,7 @@ class ResolventModel:
         """Why ``energy`` has no finite amplitude (see the module docstring)."""
         if not math.isfinite(energy):
             return ValidityError(f"energy must be finite, got {energy}")
-        detuning = energy - float(self.params.eps_d)  # Python floats: no warning
+        detuning = energy - self.params.eps_d  # Python floats: no warning
         if not math.isfinite(detuning):
             return ValidityError(f"the detuning E - eps_d overflows at energy {energy!r}")
         if detuning - self._sigma == 0:

@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import OffResonanceWarning, ValidityError
 
@@ -53,6 +54,22 @@ def is_real(value) -> bool:
     if isinstance(value, (list, tuple)):
         return all(map(is_real, value))
     return isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "iuf"
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float; ``ValidityError`` unless it is a real number (a str or bool is not)."""
+    if isinstance(value, float) or (is_real(value) and np.ndim(value) == 0):  # floats skip numpy
+        return float(value)
+    raise ValidityError(f"{name} must be a real number, got {value!r}")
+
+
+def real_array(value, name: str) -> NDArray[np.float64]:
+    """``value`` as a float64 array if it is a finite real number or an array, list or tuple of them."""
+    if isinstance(value, float) and math.isfinite(value):
+        return np.float64(value)  # computes as a 0-d array does, only faster
+    if is_real(value) and np.isfinite(out := np.asarray(value, dtype=float)).all():
+        return out
+    raise ValidityError(f"{name} must be a finite real number or an array of them, got {value!r}")
 
 
 def _is_normal(value: float) -> bool:
@@ -86,9 +103,8 @@ class RingParams:
     validate_off_resonance: bool = True
 
     def __post_init__(self) -> None:
-        if not (is_real(self.v_mag) and is_real(self.rho) and is_real(self.eps_d)):
-            name = next(n for n in ("v_mag", "rho", "eps_d") if not is_real(getattr(self, n)))
-            raise ValidityError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("v_mag", "rho", "eps_d"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         for name, value, in_range, requirement in (
             ("v_mag", self.v_mag, self.v_mag >= 0, "nonnegative"),
             ("rho", self.rho, self.rho > 0, "positive"),
@@ -96,12 +112,10 @@ class RingParams:
         ):
             if not (math.isfinite(value) and in_range):
                 raise ValidityError(f"{name} must be finite and {requirement}, got {value}")
-        # x and gamma are Python floats, whatever the fields' type, so an
-        # overflow below gives inf or OverflowError, never a numpy warning.
         x = self.x
         x2 = x * x
         try:
-            ratio = self.gamma / abs(float(self.eps_d))
+            ratio = self.gamma / abs(self.eps_d)
         except OverflowError:  # float ** 2 raises where float * float gives inf
             ratio = math.inf
         # x^2 and 1/x^2 enter t0, t1 and dot_arm_rms; a subnormal or zero x^2
@@ -136,8 +150,7 @@ class RingParams:
         The off-resonance guard always runs here; to waive it, build
         ``RingParams(..., validate_off_resonance=False)`` with ``rho = x / pi``.
         """
-        if not is_real(x):
-            raise ValidityError(f"x must be a real number, got {x!r}")
+        x = real(x, "x")
         if not (math.isfinite(x) and x > 0):
             raise ValidityError(f"x must be finite and positive, got {x}")
         return cls(v_mag=v_mag, eps_d=eps_d, rho=x / np.pi)
@@ -145,12 +158,12 @@ class RingParams:
     @property
     def x(self) -> float:
         """Dimensionless lead coupling ``pi rho |W|``, which is ``pi rho`` at ``|W| = 1``."""
-        return np.pi * float(self.rho)
+        return np.pi * self.rho
 
     @property
     def gamma(self) -> float:
         """Effective dot level width ``pi rho |V|^2 / (1 + x^2)``."""
-        return np.pi * float(self.rho) * float(self.v_mag) ** 2 / (1.0 + self.x**2)
+        return np.pi * self.rho * self.v_mag**2 / (1.0 + self.x**2)
 
 
 def amplitude_t0(params: RingParams, phi):

@@ -23,9 +23,9 @@ command and the verification suite tabulate with ``rigidity_report`` on
 its one grid, ``symmetric_phi_grid()``.
 
 Family callables are evaluated over a whole phase grid at once: a family
-takes a float array of phases of any shape ``(...)`` (a 0-d array for a
-single phase) and returns a ``(..., d, d)`` stack of matrices, or an array
-that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
+takes a float array of phases of any shape ``(...)`` (a 0-d array or a
+float64 for one phase) and returns a ``(..., d, d)`` stack of matrices, or an
+array that broadcasts to one, such as a phase-independent ``(d, d)`` matrix.
 ``TwoParticleSMatrix.at`` is the one unitarity check: once per stack, it
 raises ``ValidityError`` naming the phase of the worst defect of S.
 
@@ -54,6 +54,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidityError
+from .ring import real_array
 
 __all__ = [
     "TwoParticleSMatrix",
@@ -212,12 +213,12 @@ class TwoParticleSMatrix:
     s_of_phi: Family
 
     def at(self, phi: ArrayLike) -> NDArray[np.complex128]:
-        """Unitary S at a phase or a phase array.
+        """Unitary S at a finite real phase or an array of them (``ring.real_array``).
 
         The shape is ``np.shape(phi) + (4, 4)``, after the leading family
         axes of a family built from a sequence of seeds.
         """
-        phi = np.asarray(phi, dtype=float)
+        phi = real_array(phi, "phase")
         m = np.asarray(self.s_of_phi(phi), dtype=complex)
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"scattering matrix must be 4x4, got shape {m.shape}")

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import ValidityError
-from .ring import RingParams, amplitude_t0, amplitude_t1, is_real
+from .ring import RingParams, amplitude_t0, amplitude_t1, real, real_array
 
 __all__ = [
     "ThermalConfig",
@@ -80,13 +80,6 @@ def _dephased_row(terms: tuple, lam):
     return direct + 2.0 * np.real(lam * conj_t0 * t1)
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float; ``ValidityError`` unless it is a real number (a str or bool is not)."""
-    if not is_real(value) or np.ndim(value) != 0:
-        raise ValidityError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _check_overlap(lam) -> None:
     """Raise ``ValidityError`` unless ``lam`` is a number with ``|lam| <= 1 + OVERLAP_TOL``."""
     if np.ndim(lam) != 0 or np.asarray(lam).dtype.kind not in "iufc":
@@ -104,11 +97,10 @@ def _check_int(value, name: str) -> None:
 def transmission(params: RingParams, lam, phi):
     """Transmission probability at the Fermi energy for overlap ``lam``.
 
-    Accepts a real, finite scalar phase or an array of them. ``lam`` may be
-    complex; its magnitude must not exceed 1 (beyond a small tolerance).
+    A phase is a finite real number, or an array, list or tuple of them. ``lam``
+    may be complex; its magnitude must not exceed 1 (beyond a small tolerance).
     """
-    if isinstance(phi, (list, tuple)) or not (is_real(phi) and np.isfinite(phi).all()):
-        raise ValidityError(f"phase must be a finite real number or an array of them, got {phi!r}")
+    phi = real_array(phi, "phase")
     _check_overlap(lam)
     return _dephased_row(_amplitude_terms(params, phi), lam)
 
@@ -125,13 +117,13 @@ def phase_grid(n_points: int) -> NDArray[np.float64]:
 
 
 def out_of_range(values: ArrayLike) -> NDArray[np.intp]:
-    """Number of values outside [0, 1] along the last axis.
+    """Number of values outside [0, 1] along the last axis; a nan is outside.
 
     Sweeps never clamp; out-of-range points signal that the single-visit
     amplitudes were pushed outside their validity.
     """
     values = np.asarray(values)
-    return np.count_nonzero((values < 0.0) | (values > 1.0), axis=-1)
+    return values.shape[-1] - np.count_nonzero((values >= 0.0) & (values <= 1.0), axis=-1)
 
 
 def sweep_phase(
@@ -152,10 +144,11 @@ def visibility(values: ArrayLike) -> float:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValidityError("visibility needs one nonempty row of transmission values")
-    if np.any(values < 0.0):
+    hi, lo = float(values.max()), float(values.min())
+    if not -math.inf < lo <= hi < math.inf:  # a nan makes both nan
+        raise ValidityError("visibility needs finite transmission values")
+    if lo < 0.0:
         raise ValidityError("visibility needs nonnegative transmission values")
-    hi = float(values.max())
-    lo = float(values.min())
     if hi + lo == 0.0:
         raise ValidityError("visibility undefined for an all-zero sweep")
     return (hi - lo) / (hi + lo)
@@ -170,7 +163,7 @@ def sweep_lambda(
     row needs (see the module docstring); the amplitudes are evaluated at
     most once per phase.
     """
-    lambdas = [_real(lam, "overlap sweep value") for lam in lambdas]
+    lambdas = [real(lam, "overlap sweep value") for lam in lambdas]
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ValidityError(f"overlap sweep values must lie in [0, 1], got {lam}")
@@ -220,7 +213,7 @@ def _chord_margin(params: RingParams, lam: float, spacing: float) -> float:
     """
     x = params.x
     t0_mag = 2.0 * x / (1.0 + x * x)
-    m = abs(float(params.gamma) / float(params.eps_d)) * t0_mag * (2.0 + x + 1.0 / x)
+    m = abs(params.gamma / params.eps_d) * t0_mag * (2.0 + x + 1.0 / x)
     curvature = m * (4.0 * m + 2.0 * lam * t0_mag)
     return curvature * spacing * spacing / 8.0 + ROUNDING_ALLOWANCE * (t0_mag + m) * (t0_mag + m)
 
@@ -243,7 +236,7 @@ def double_slit_visibility(a: float, b: float, lam: float) -> float:
     Equals ``2 lam a b / (a^2 + b^2)``: exactly linear in the overlap and
     exactly zero at ``lam = 0``, unlike the closed-loop result.
     """
-    a, b, lam = _real(a, "arm amplitude a"), _real(b, "arm amplitude b"), _real(lam, "overlap")
+    a, b, lam = real(a, "arm amplitude a"), real(b, "arm amplitude b"), real(lam, "overlap")
     norm = a * a + b * b  # Python floats: an overflow gives inf, never a numpy warning
     if not (a >= 0.0 and b >= 0.0 and 0.0 < norm < math.inf):
         raise ValidityError(f"arm amplitudes {a!r} and {b!r}: need a, b >= 0, 0 < a^2 + b^2 < inf")
@@ -297,13 +290,13 @@ class ThermalConfig:
     _mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(_real(self.temperature, "temperature")) and self.temperature > 0):
+        if not (math.isfinite(real(self.temperature, "temperature")) and self.temperature > 0):
             raise ValidityError(f"temperature must be finite and positive, got {self.temperature}")
         n = self.quadrature_points
         _check_int(n, "quadrature_points")
         if n < 16:
             raise ValidityError(f"need at least 16 quadrature points, got {n}")
-        if not (math.isfinite(span := _real(self.energy_window, "energy_window")) and span >= 8):
+        if not (math.isfinite(span := real(self.energy_window, "energy_window")) and span >= 8):
             raise ValidityError(
                 f"energy window must be finite and span at least 8 k_B T, got {self.energy_window}"
             )

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from abring import OffResonanceWarning, RingParams, ValidityError
 from abring.ring import amplitude_t0, amplitude_t1, diagram_components
+from abring.transport import phase_grid, sweep_phase
 
 
 def random_valid_ring(rng):
@@ -71,8 +72,30 @@ class TestRingParams:
 
     @pytest.mark.parametrize("value", [np.float32(0.75), np.int64(1), np.array(0.75)])
     def test_numpy_fields_accepted(self, value):
-        assert RingParams(v_mag=value, eps_d=1.25, rho=0.1).v_mag is value
-        assert_allclose(RingParams.from_x(value, 0.5, 1.25).x, float(value), rtol=1e-7)
+        # Each field is stored as the Python float of its value.
+        ring = RingParams(v_mag=value, eps_d=value, rho=value, validate_off_resonance=False)
+        for field_value in (ring.v_mag, ring.eps_d, ring.rho):
+            assert type(field_value) is float and field_value == float(value)
+        assert_allclose(RingParams.from_x(value, 0.5, 1.25).x, float(value), rtol=1e-15)
+
+    @pytest.mark.parametrize("value", [np.array([0.75]), [0.75], (0.75,), np.zeros((1, 1))])
+    def test_array_field_rejected(self, value):
+        fields_ = {"v_mag": 0.75, "eps_d": 1.25, "rho": 0.1}
+        for name in fields_:
+            with pytest.raises(ValidityError, match=rf"^{name} must be a real number, got "):
+                RingParams(**{**fields_, name: value})
+        with pytest.raises(ValidityError, match=r"^x must be a real number, got "):
+            RingParams.from_x(value, 0.75, 1.25)
+
+    def test_float32_ring_is_the_float64_ring(self):
+        # 1.25 is exact in float32, so both rings are the same ring, bit for bit.
+        single = RingParams(v_mag=0.75, eps_d=np.float32(1.25), rho=0.4 / np.pi)
+        double = RingParams(v_mag=0.75, eps_d=1.25, rho=0.4 / np.pi)
+        assert single == double
+        phis = phase_grid(720)
+        assert amplitude_t1(single, phis).tobytes() == amplitude_t1(double, phis).tobytes()
+        lambdas = [0.0, 0.5, 1.0]
+        assert sweep_phase(single, lambdas, 720).tobytes() == sweep_phase(double, lambdas, 720).tobytes()
 
     def test_fields_are_keyword_only(self):
         # Positional fields would silently shift meaning if one were removed.

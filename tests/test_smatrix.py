@@ -343,6 +343,26 @@ class TestNanIsRejected:
             smatrix._check_defect(defect, phis, "broken")
 
 
+class TestPhaseEntry:
+    """``at`` takes finite real phases and refuses the rest before it evaluates the family."""
+
+    @pytest.mark.parametrize("phi", ["0.3", True, np.nan, [0.3, np.inf], 0.3j, None, [0.3, True]])
+    def test_phase_that_is_not_finite_and_real_rejected(self, phi):
+        calls = []
+        s = TwoParticleSMatrix(lambda p: calls.append(p) or np.eye(4))
+        match = r"^phase must be a finite real number or an array of them, got "
+        for family in (s, generic_family(3)):
+            with pytest.raises(ValidityError, match=match):
+                family.at(phi)
+        assert calls == []
+
+    def test_real_phases_are_float64(self):
+        family = generic_family(3)
+        assert family.at([0.3, -1.0]).tobytes() == family.at(np.array([0.3, -1.0])).tobytes()
+        assert family.at(np.float32(0.5)).tobytes() == family.at(0.5).tobytes()
+        assert family.at(2).tobytes() == family.at(2.0).tobytes()
+
+
 class TestUnitarityBoundary:
     """S is checked once per evaluated stack, and nothing else is checked per phase."""
 
