@@ -4,11 +4,13 @@ Usage, with the ``src`` to test on ``PYTHONPATH``::
 
     python .github/scripts/api_reference.py OUT_DIR
 
-Saves four arrays with ``np.save``: ``oracle.npy`` holds the exact amplitude
+Saves five arrays with ``np.save``: ``oracle.npy`` holds the exact amplitude
 at a drawn energy and at the Fermi energy, the second-order amplitude and
 the truncation residual at 200 seeded draws;
 the order-V^2 amplitude at an energy E is that of the ring with dot level
-``eps_d - E``.
+``eps_d - E``.  ``oracle_stack.npy`` holds the same draws' exact amplitude
+at the Fermi energy and second-order amplitude, each from one call on the
+stack of all 200 rings.
 ``thermal.npy`` holds the thermal transmission at the reference ring over
 64 phases and three temperatures, with the default 128-point quadrature.
 ``thermal_strong.npy`` holds the same at a second ring, with x > 1 and a
@@ -55,24 +57,38 @@ def _draw_ring(rng: np.random.Generator) -> RingParams:
     return RingParams.from_x(x, v, sign * gamma / rng.uniform(0.02, 0.24))
 
 
-def oracle_values() -> np.ndarray:
-    """(N_DRAWS, 4) complex: exact amplitude at E and at 0, order-V^2 part, residual."""
+def oracle_draws() -> list[tuple]:
+    """N_DRAWS seeded (ring, phase, energy, ring with dot level eps_d - energy) draws."""
     rng = np.random.default_rng(SEED)
-    rows = []
+    draws = []
     for _ in range(N_DRAWS):
         ring = _draw_ring(rng)
         phi = rng.uniform(-np.pi, np.pi)
         energy = rng.uniform(-0.2, 0.2)
         shifted = replace(ring, eps_d=ring.eps_d - energy, validate_off_resonance=False)
-        rows.append(
-            (
-                ResolventModel(ring, phi).amplitude(energy),
-                exact_amplitude(ring, phi),
-                second_order_amplitude(shifted, phi),
-                truncation_residual(ring, phi),
-            )
+        draws.append((ring, phi, energy, shifted))
+    return draws
+
+
+def oracle_values(draws: list[tuple]) -> np.ndarray:
+    """(N_DRAWS, 4) complex: exact amplitude at E and at 0, order-V^2 part, residual."""
+    rows = [
+        (
+            ResolventModel(ring, phi).amplitude(energy),
+            exact_amplitude(ring, phi),
+            second_order_amplitude(shifted, phi),
+            truncation_residual(ring, phi),
         )
+        for ring, phi, energy, shifted in draws
+    ]
     return np.array(rows, dtype=complex)
+
+
+def oracle_stack_values(draws: list[tuple]) -> np.ndarray:
+    """(2, N_DRAWS) complex: exact amplitude at 0 and order-V^2 part, each one stacked call."""
+    rings, phis, _, shifted = (list(column) for column in zip(*draws))
+    phis = np.array(phis)
+    return np.array([exact_amplitude(rings, phis), second_order_amplitude(shifted, phis)])
 
 
 def thermal_values(ring: RingParams, quadrature_points: int) -> np.ndarray:
@@ -99,7 +115,9 @@ def energy_resolved_values() -> np.ndarray:
 def main(argv: list[str]) -> int:
     (out_dir,) = argv
     os.makedirs(out_dir, exist_ok=True)
-    np.save(os.path.join(out_dir, "oracle.npy"), oracle_values())
+    draws = oracle_draws()
+    np.save(os.path.join(out_dir, "oracle.npy"), oracle_values(draws))
+    np.save(os.path.join(out_dir, "oracle_stack.npy"), oracle_stack_values(draws))
     reference = RingParams.from_x(0.4, 0.75, 1.25)
     np.save(os.path.join(out_dir, "thermal.npy"), thermal_values(reference, 128))
     strong = RingParams.from_x(1.8, 0.9, -1.5)  # Gamma/|eps_d| = 0.23

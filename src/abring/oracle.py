@@ -15,12 +15,13 @@ direct amplitude for every coupling and phase, which gives
 the same resolvent must then match the closed-form single-visit amplitude
 on its own, and the leftover quantifies the truncation error.
 
-One builder, which every route calls, assembles ``g^{-1} - H`` at the Fermi
-energy for one ``RingParams`` or a list or tuple of them, so ``H`` is
-Hermitian by construction.  Its phases pass ``ring.real_array`` and have the
-rings' shape, ``()`` for one ring and ``(n,)`` for n.  ``exact_amplitude``
-and ``second_order_amplitude`` solve n rings as one stack, each ring's
-amplitude with the bits of its own solve.
+One builder reads each ring and its phase once, for one ``RingParams`` or a
+list or tuple of them, and returns ``N`` with ``g^{-1} - H`` at the Fermi
+energy, so ``H`` is Hermitian by construction.  Its phases pass
+``ring.real_array`` and have the rings' shape, ``()`` for one ring and
+``(n,)`` for n.  The routes differ only in how they invert ``g^{-1} - H``;
+``exact_amplitude`` and ``second_order_amplitude`` solve n rings as one
+stack, each ring's amplitude with the bits of its own solve.
 
 ``ResolventModel(params, phi)`` carries one ``RingParams`` to other
 energies.  The energy enters only the dot entry, as ``E - eps_d``, so it
@@ -47,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidityError
-from .ring import RingParams, amplitude_t0, amplitude_t1, is_real, real_array
+from .ring import RingParams, amplitude_t0, amplitude_t1, float_array, is_real, real_array
 
 __all__ = [
     "ResolventModel",
@@ -63,26 +64,19 @@ Rings = RingParams | list[RingParams] | tuple[RingParams, ...]
 _INJECT_L = np.array([1.0, 0.0, 0.0], dtype=complex)
 
 
-def _ring_fields(rings: Rings):
-    """``rho``, ``v_mag`` and ``eps_d`` of one ring, or arrays of them over a sequence."""
+def _inverse_propagator(rings: Rings, phi) -> tuple:
+    """``N`` and g^{-1} - H at the Fermi energy: a complex and a fresh C-ordered 3x3 matrix for one
+    ring, an (n,) array and an (n, 3, 3) stack of the same bits for n rings, each at its phase;
+    else ``ValidityError``."""
     if isinstance(rings, RingParams):
-        return rings.rho, rings.v_mag, rings.eps_d
-    if not isinstance(rings, (list, tuple)):
-        raise ValidityError(f"rings must be a RingParams or a list or tuple of them, got {rings!r}")
-    if bad := [k for k, ring in enumerate(rings) if not isinstance(ring, RingParams)]:
-        raise ValidityError(f"ring {bad[0]} is not a RingParams, got {rings[bad[0]]!r}")
-    return np.array([(r.rho, r.v_mag, r.eps_d) for r in rings], dtype=float).reshape(-1, 3).T
-
-
-def _norm_const(rho):
-    """``N = 2i / (pi rho)``, fixed by the dot-decoupled channel."""
-    return 2j / (np.pi * rho)
-
-
-def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
-    """g^{-1} - H at the Fermi energy, as a fresh C-ordered array: a 3x3 matrix for one ring,
-    an (n, 3, 3) stack of the same bits for n rings, each at its phase; else ``ValidityError``."""
-    rho, v, eps_d = _ring_fields(rings)
+        rho, v, eps_d = rings.rho, rings.v_mag, rings.eps_d
+    else:
+        if not isinstance(rings, (list, tuple)):
+            raise ValidityError(f"rings must be a RingParams or a list or tuple of them, got {rings!r}")
+        if bad := [k for k, ring in enumerate(rings) if not isinstance(ring, RingParams)]:
+            raise ValidityError(f"ring {bad[0]} is not a RingParams, got {rings[bad[0]]!r}")
+        fields = [(r.rho, r.v_mag, r.eps_d) for r in rings]
+        rho, v, eps_d = np.array(fields, dtype=float).reshape(-1, 3).T
     phi = real_array(phi, "phase")
     if phi.shape != (shape := getattr(rho, "shape", ())):  # a float's is ()
         rings_need = f"{len(rings)} rings need phases" if shape else "a ring needs a phase"
@@ -98,15 +92,15 @@ def _inverse_propagator(rings: Rings, phi) -> NDArray[np.complex128]:
     m_t = np.array([[lead, np.conj(w), v], [w, lead, v], [v, v, eps_d]], dtype=complex)
     a = np.negative(m_t.T, order="C")
     a[..., 2, 2] = -eps_d  # a real dot entry: its imaginary part is +0.0
-    return a
+    return 2j / (np.pi * rho), a
 
 
-def _fermi_amplitude(rho, a: NDArray[np.complex128]):
+def _fermi_amplitude(n, a: NDArray[np.complex128]):
     """``N G_RL`` of ``a = g^{-1} - H``, one matrix or a stack: inject at L, read out at R."""
     # numpy < 2 takes b as a vector only if b.ndim == a.ndim - 1, so a stack gets a b of a's ndim.
     # .T[1] is [..., 1], but gives one matrix's entry as a scalar, which multiplies 5x faster.
     b = _INJECT_L if a.ndim == 2 else np.broadcast_to(_INJECT_L[:, None], a.shape[:-1] + (1,))
-    return _norm_const(rho) * np.linalg.solve(a, b).reshape(a.shape[:-1]).T[1]
+    return n * np.linalg.solve(a, b).reshape(a.shape[:-1]).T[1]
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,8 @@ class ResolventModel:
     def __post_init__(self) -> None:
         if not isinstance(self.params, RingParams):
             raise ValidityError(f"a ResolventModel takes one RingParams, got {self.params!r}")
-        a = _inverse_propagator(self.params, self.phi)
-        object.__setattr__(self, "_amp0", complex(_fermi_amplitude(self.params.rho, a)))
+        n, a = _inverse_propagator(self.params, self.phi)
+        object.__setattr__(self, "_amp0", complex(_fermi_amplitude(n, a)))
         # The lead block B has det = -(1/(pi rho))^2 - 1, never 0, so its 2x2
         # adjugate inverts it.  With c and r the dot's hops, u = B^{-1} c,
         # w = r B^{-1} and Sigma = r u.
@@ -137,7 +131,7 @@ class ResolventModel:
         u1 = (b00 * c1 - b10 * c0) / det
         w0 = (r0 * b11 - r1 * b10) / det
         sigma = r0 * u0 + r1 * u1
-        object.__setattr__(self, "_k", _norm_const(self.params.rho) * u1 * w0)
+        object.__setattr__(self, "_k", n * u1 * w0)
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_s0", -self.params.eps_d - sigma)
 
@@ -162,10 +156,10 @@ class ResolventModel:
         """
         if not is_real(energy):
             raise ValidityError(f"energy must be a real number or an array of them, got {energy!r}")
-        shape = np.shape(energy)
+        energies = float_array(energy, "energy")
         # Flat, so that a single energy takes the same array arithmetic as
         # a stack (numpy's scalar complex multiply rounds differently).
-        e = np.asarray(energy, dtype=float).reshape(-1)
+        e = energies.reshape(-1)
         with np.errstate(all="ignore"):  # every inf and nan is rejected below
             s = (e - self.params.eps_d) - self._sigma
             r = e / s
@@ -176,12 +170,12 @@ class ResolventModel:
             raise self._energy_error(float(e[np.argmin(ok)]))  # the first bad energy
         # E = 0 keeps the solve's bits: amp0 - 0 would turn a -0.0 into 0.0.
         out = np.where(e == 0, self._amp0, self._amp0 - self._k * r / self._s0)
-        return complex(out[0]) if shape == () else out.reshape(shape)
+        return complex(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)
 
 
 def exact_amplitude(rings: Rings, phi):
     """All-order amplitude at the Fermi energy: a complex for one ring, an array for a stack."""
-    amplitude = _fermi_amplitude(_ring_fields(rings)[0], _inverse_propagator(rings, phi))
+    amplitude = _fermi_amplitude(*_inverse_propagator(rings, phi))
     return complex(amplitude) if isinstance(rings, RingParams) else amplitude
 
 
@@ -197,13 +191,13 @@ def second_order_amplitude(params: Rings, phi):
     product chain, each element bit for bit its ring's own.  The first ring
     whose amplitude leaves the float range is named in a ``ValidityError``.
     """
-    a = _inverse_propagator(params, phi)
+    n, a = _inverse_propagator(params, phi)
     a0 = a.copy()
     a0[..., :2, 2] = a0[..., 2, :2] = 0.0  # cut the four dot hops
     hv = a0 - a
     g0 = np.linalg.inv(a0)
     with np.errstate(all="ignore"):  # every inf and nan is rejected below
-        amplitude = _norm_const(_ring_fields(params)[0]) * (g0 @ hv @ g0 @ hv @ g0)[..., 1, 0]
+        amplitude = n * (g0 @ hv @ g0 @ hv @ g0)[..., 1, 0]
     one = isinstance(params, RingParams)
     bad = np.flatnonzero(~np.isfinite(amplitude))
     if bad.size:

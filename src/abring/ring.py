@@ -56,9 +56,19 @@ def is_real(value) -> bool:
     return isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "iuf"
 
 
+def float_array(value, name: str) -> NDArray[np.float64]:
+    """A value that ``is_real`` as a float64 array; ``ValidityError`` naming ``name`` if numpy cannot."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValidityError(f"{name} holds an int beyond the float range") from None
+    except ValueError:
+        raise ValidityError(f"{name} is a ragged list, not an array") from None
+
+
 def real(value, name: str) -> float:
     """``value`` as a float; ``ValidityError`` unless it is a real number (a str or bool is not)."""
-    if isinstance(value, float) or (is_real(value) and np.ndim(value) == 0):  # floats skip numpy
+    if isinstance(value, float) or (is_real(value) and float_array(value, name).ndim == 0):  # floats skip numpy
         return float(value)
     raise ValidityError(f"{name} must be a real number, got {value!r}")
 
@@ -67,7 +77,7 @@ def real_array(value, name: str) -> NDArray[np.float64]:
     """``value`` as a float64 array if it is a finite real number or an array, list or tuple of them."""
     if isinstance(value, float) and math.isfinite(value):
         return np.float64(value)  # computes as a 0-d array does, only faster
-    if is_real(value) and np.isfinite(out := np.asarray(value, dtype=float)).all():
+    if is_real(value) and np.isfinite(out := float_array(value, name)).all():
         return out
     raise ValidityError(f"{name} must be a finite real number or an array of them, got {value!r}")
 

@@ -138,20 +138,14 @@ def _kron(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.co
     return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
-def _complex(x: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """Complex matrices from real draws whose axis -3 holds the real, then the imaginary part.
+def _orthonormalize(x: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Q of ``z = QR``, phases fixed so diag(R) > 0, for each complex matrix ``z`` of real
+    draws ``x`` whose axis -3 holds the real, then the imaginary part.
 
-    Formed once for a whole stack of seeds, with the bits of each seed's own.
+    Formed once for a whole stack of seeds: one stacked ``np.linalg.qr`` gives
+    each matrix the bits of its own call.
     """
-    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
-
-
-def _orthonormalize(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Q of ``z = QR`` for each matrix of a stack, phases fixed so diag(R) > 0.
-
-    One stacked ``np.linalg.qr`` gives each matrix the bits of its own call.
-    """
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(x[..., 0, :, :] + 1j * x[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d)).conj()[..., None, :]
 
@@ -185,7 +179,7 @@ def seeded_generator(seed: Seeds, dim: int = 4) -> Family:
         return rng.standard_normal((2, 2, dim, dim)), rng.integers(-2, 3, size=dim)
 
     x, windings = _per_seed(seed, draw)
-    q = _orthonormalize(_complex(x))
+    q = _orthonormalize(x)
     q0, q1 = q[..., 0, :, :], q[..., 1, :, :]
     lead = windings.shape[:-1]
 
@@ -263,7 +257,7 @@ def random_symmetric_unitary(seed: Seeds) -> NDArray[np.complex128]:
     A sequence of seeds gives an ``(n, 2, 2)`` stack.
     """
     (x,) = _per_seed(seed, lambda rng: (rng.standard_normal((2, 2, 2)),))
-    q = _orthonormalize(_complex(x))
+    q = _orthonormalize(x)
     return _transpose(q) @ q
 
 

@@ -16,7 +16,6 @@ from abring import (
 from abring.oracle import (
     ResolventModel,
     _inverse_propagator,
-    _norm_const,
     second_order_amplitude,
 )
 from abring.ring import amplitude_t0, amplitude_t1
@@ -35,13 +34,21 @@ class TestCalibration:
             worst = max(worst, abs(exact_amplitude(p, phi) - amplitude_t0(p, phi)))
         assert worst < 1e-12
 
-    def test_normalization_constant(self, ref_ring):
-        assert_allclose(_norm_const(ref_ring.rho), 2j / (np.pi * ref_ring.rho), rtol=1e-15)
+    def test_normalization_constant(self, ref_ring, rng):
+        # The builder's N is 2i / (pi rho) bit for bit: a complex for one ring,
+        # an array of each ring's own for a stack.
+        n, _ = _inverse_propagator(ref_ring, 1.234)
+        assert type(n) is complex
+        assert n == 2j / (np.pi * ref_ring.rho)
+        rings, phis = _rings_and_phases(rng, 50)
+        n, _ = _inverse_propagator(rings, phis)
+        rho = np.array([p.rho for p in rings])
+        assert n.tobytes() == (2j / (np.pi * rho)).tobytes()
 
     def test_inverse_propagator_entries(self, ref_ring):
         # g^{-1} - H at E = 0: lead entries 1/g_lead, dot entry -eps_d,
         # and a Hermitian hop part off the diagonal.
-        a = _inverse_propagator(ref_ring, 1.234)
+        _, a = _inverse_propagator(ref_ring, 1.234)
         hops = a - np.diag(np.diag(a))
         assert_allclose(hops, hops.conj().T, atol=1e-15)
         assert_allclose(np.diag(a)[:2], 1.0 / (-1j * np.pi * ref_ring.rho), rtol=1e-15)
@@ -79,10 +86,10 @@ class TestSecondOrder:
         for _ in range(100):
             p, phi = random_valid_ring(rng), rng.uniform(-np.pi, np.pi)
             energy = rng.uniform(-0.2, 0.2)
-            a = _inverse_propagator(p, phi)
+            _, a = _inverse_propagator(p, phi)
             a[2, 2] = energy - p.eps_d
             shifted = replace(p, eps_d=p.eps_d - energy, validate_off_resonance=False)
-            assert _inverse_propagator(shifted, phi).tobytes() == a.tobytes()
+            assert _inverse_propagator(shifted, phi)[1].tobytes() == a.tobytes()
         # At E = eps_d, the pole, the shifted level is 0, which RingParams names.
         with pytest.raises(ValidityError, match=r"^eps_d must be finite and nonzero"):
             replace(p, eps_d=p.eps_d - p.eps_d, validate_off_resonance=False)
@@ -151,10 +158,11 @@ class TestStacks:
             a[0, 0] += 1.0 / g_lead
             a[1, 1] += 1.0 / g_lead
             a[2, 2] = -p.eps_d
-            assert _inverse_propagator(p, phi).tobytes() == a.tobytes()
-        stack = _inverse_propagator(rings, phis)
+            assert _inverse_propagator(p, phi)[1].tobytes() == a.tobytes()
+        n, stack = _inverse_propagator(rings, phis)
         singles = [_inverse_propagator(p, phi) for p, phi in zip(rings, phis.tolist())]
-        assert stack.tobytes() == np.array(singles).tobytes()
+        assert stack.tobytes() == np.array([a for _, a in singles]).tobytes()
+        assert n.tobytes() == np.array([n for n, _ in singles]).tobytes()
 
     def test_solve_takes_b_of_its_stacks_ndim(self, ref_ring, monkeypatch):
         # numpy < 2 takes b as a vector only if b.ndim == a.ndim - 1, so a
@@ -432,9 +440,9 @@ class TestExactAmplitude:
             assert np.array_equal(model.amplitude(first), ResolventModel(p, phi).amplitude(first))
             assert np.array_equal(model.amplitude(second), ResolventModel(p, phi).amplitude(second))
             assert model.amplitude(0.0) == ResolventModel(p, phi).amplitude(0.0)
-        a = _inverse_propagator(p, phi)
+        _, a = _inverse_propagator(p, phi)
         a[2, 2] = 0.0
-        assert _inverse_propagator(p, phi)[2, 2] == -p.eps_d
+        assert _inverse_propagator(p, phi)[1][2, 2] == -p.eps_d
 
     def test_model_compares_by_ring_and_phase(self, ref_ring):
         assert ResolventModel(ref_ring, 0.8) == ResolventModel(ref_ring, 0.8)
@@ -452,9 +460,9 @@ class TestSchurComplement:
         # reach E = eps_d, so the reference sets the entry itself.
         out = []
         for e in energies:
-            a = _inverse_propagator(model.params, model.phi)
+            n, a = _inverse_propagator(model.params, model.phi)
             a[2, 2] = e - model.params.eps_d
-            out.append(_norm_const(model.params.rho) * np.linalg.solve(a, self.SOURCE)[1, 0])
+            out.append(n * np.linalg.solve(a, self.SOURCE)[1, 0])
         return np.array(out)
 
     @staticmethod
@@ -498,7 +506,7 @@ class TestSchurComplement:
         drawn = [(p, rng.uniform(-np.pi, np.pi)) for p in rings]
         for p, phi in decoupled + drawn:
             model = ResolventModel(p, phi)
-            a = _inverse_propagator(p, phi)
+            _, a = _inverse_propagator(p, phi)
             direct = complex(2j / (np.pi * p.rho) * np.linalg.solve(a, self.SOURCE)[..., 1, 0])
             for got in (
                 exact_amplitude(p, phi),

@@ -14,7 +14,16 @@ from numpy.testing import assert_allclose
 
 from abring import OffResonanceWarning, RingParams, ValidityError
 from abring.ring import amplitude_t0, amplitude_t1, diagram_components
-from abring.transport import phase_grid, sweep_phase
+from abring.oracle import ResolventModel, exact_amplitude
+from abring.smatrix import generic_family
+from abring.transport import (
+    ThermalConfig,
+    double_slit_visibility,
+    phase_grid,
+    sweep_lambda,
+    sweep_phase,
+    transmission,
+)
 
 
 def random_valid_ring(rng):
@@ -248,3 +257,59 @@ class TestDiagramComponents:
             # vectorized and scalar exp may differ in the last ulp
             assert_allclose(vec.c_rl[i], one.c_rl, rtol=1e-14)
             assert_allclose(vec.c_ll[i], one.c_ll, rtol=1e-14)
+
+
+# An int beyond the float range, and a ragged list: numpy cannot make either a float array.
+BIG, RAGGED = 10**400, [[0.1], [0.2, 0.3]]
+BEYOND, NOT_AN_ARRAY = "holds an int beyond the float range$", "is a ragged list, not an array$"
+
+
+class TestNumberConversion:
+    """Every number the API converts to a float goes through ``ring.real`` or
+    ``ring.real_array``, or the energy conversion of ``ResolventModel.amplitude``."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda ring: RingParams(v_mag=BIG, eps_d=1.25, rho=0.1), "^v_mag " + BEYOND),
+            (lambda ring: RingParams.from_x(BIG, 0.75, 1.25), "^x " + BEYOND),
+            (lambda ring: ThermalConfig(BIG), "^temperature " + BEYOND),
+            (lambda ring: double_slit_visibility(BIG, 1.0, 0.5), "^arm amplitude a " + BEYOND),
+            (lambda ring: sweep_lambda(ring, [BIG], 64), "^overlap sweep value " + BEYOND),
+            (lambda ring: transmission(ring, 0.5, [BIG]), "^phase " + BEYOND),
+            (lambda ring: exact_amplitude(ring, BIG), "^phase " + BEYOND),
+            (lambda ring: ResolventModel(ring, BIG), "^phase " + BEYOND),
+            (lambda ring: ResolventModel(ring, 0.3).amplitude(BIG), "^energy " + BEYOND),
+            (lambda ring: transmission(ring, 0.5, RAGGED), "^phase " + NOT_AN_ARRAY),
+            (lambda ring: generic_family(3).at(RAGGED), "^phase " + NOT_AN_ARRAY),
+            (lambda ring: ResolventModel(ring, 0.3).amplitude(RAGGED), "^energy " + NOT_AN_ARRAY),
+        ],
+        ids=[
+            "RingParams",
+            "from_x",
+            "ThermalConfig",
+            "double_slit_visibility",
+            "sweep_lambda",
+            "transmission",
+            "exact_amplitude",
+            "ResolventModel",
+            "amplitude",
+            "transmission-ragged",
+            "at-ragged",
+            "amplitude-ragged",
+        ],
+    )
+    def test_unconvertible_number_is_validity_error_naming_its_input(self, ref_ring, call, match):
+        with pytest.raises(ValidityError, match=match):
+            call(ref_ring)
+
+    def test_rectangular_nested_list_keeps_its_bits(self, ref_ring):
+        nested = [[0.1], [0.2]]
+        for convert in (
+            lambda phi: transmission(ref_ring, 0.5, phi),
+            generic_family(3).at,
+            ResolventModel(ref_ring, 0.3).amplitude,
+        ):
+            got, want = convert(nested), convert(np.array(nested))
+            assert got.shape == want.shape == (2, 1) + want.shape[2:]
+            assert got.tobytes() == want.tobytes()

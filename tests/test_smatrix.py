@@ -232,7 +232,7 @@ class TestBatchedParity:
         def per_phase(s):
             rng = np.random.default_rng(s)
             x = rng.standard_normal((2, 2, dim, dim))
-            q0, q1 = smatrix._orthonormalize(x[:, 0] + 1j * x[:, 1])
+            q0, q1 = smatrix._orthonormalize(x)
             windings = rng.integers(-2, 3, size=dim)
             return np.array([(q0 * np.exp(1j * windings * phi)) @ q1 for phi in GRID])
 
